@@ -1,214 +1,119 @@
-"""Graph automorphisms and isomorphisms.
+"""Automorphisms and isomorphisms of 3-connected planar graphs.
 
-Search strategy: equitable partition refinement (neighbor-color multisets,
-with painted and plain edges as distinct classes when requested) followed
-by individualize-and-refine backtracking.  Candidate vertices are tried in
-ascending label order, so generator lists are reproducible run to run.
-
-For automorphism groups the search walks the identity branch first and
-prunes sibling branches by the orbit of the base vertex under generators
-already found, cutting each non-identity branch after its first success.
-The returned group is the closure of the collected generators, which the
-classical stabilizer-chain argument shows is the full automorphism group;
-leaf candidates are always verified edge-by-edge, so refinement is only
-ever a pruning device.
+By Whitney's theorem such a graph has one sphere embedding, up to mirror
+image, so an isomorphism is fixed by a flag: the image of one dart and a
+sign (+1 keeps the rotations, -1 reverses them).  Both entry points fix a
+base dart, try each flag whose invariant matches it (edge class, end
+degrees, the sizes of the two faces beside the dart, swapped for sign -1)
+and extend it by breadth-first search over the rotation system, checking
+every edge and its class.  At most 4E flags of O(E) steps each; the flags
+that survive are the maps themselves, so no closure is needed (Weinberg
+1966).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .graphs import PaintedGraph
-from .groups import DEFAULT_CAP, PermGroup, Permutation, close
-
-# adjacency with edge classes: per vertex, sorted tuple of (class, neighbor)
-_Adj = list[tuple[tuple[int, int], ...]]
+from .errors import CapExceededError
+from .graphs import PaintedGraph, check_3_connected, planar_embed
+from .groups import DEFAULT_CAP, PermGroup, Permutation, from_elements
 
 
-def _adjacency(g: PaintedGraph, respect_painting: bool) -> _Adj:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for i, (u, v) in enumerate(g.edges):
-        cls = 1 if (respect_painting and g.is_painted(i)) else 0
-        adj[u].append((cls, v))
-        adj[v].append((cls, u))
-    return [tuple(sorted(row)) for row in adj]
+class _Darts:
+    """Per-dart arrays of one embedded graph; the darts leaving vertex v
+    are numbered consecutively in its rotation order."""
+
+    def __init__(self, g: PaintedGraph, respect_painting: bool):
+        rot = planar_embed(g)
+        fs = check_3_connected(g, rot)
+        size = fs.face_sizes()
+        darts = [(v, e) for v, row in enumerate(rot) for e in row]
+        index = {d: i for i, d in enumerate(darts)}
+        self.deg = [len(row) for row in rot]
+        self.tail = [v for v, _e in darts]
+        self.rev = [index[(g.other_end(e, v), e)] for v, e in darts]
+        first = [index[(v, row[0])] for v, row in enumerate(rot)]
+        self.nxt = [first[v] + (d - first[v] + 1) % self.deg[v] for d, v in enumerate(self.tail)]
+        self.prv = [first[v] + (d - first[v] - 1) % self.deg[v] for d, v in enumerate(self.tail)]
+        self.cls = [1 if respect_painting and g.is_painted(e) else 0 for _v, e in darts]
+        fsz = [size[fs.dart_face[d]] for d in darts]
+        deg_of = [self.deg[v] for v in self.tail]
+        ends = [(c, deg_of[d], deg_of[r]) for d, (c, r) in enumerate(zip(self.cls, self.rev))]
+        self.keys = {
+            1: [ends[d] + (fsz[d], fsz[r]) for d, r in enumerate(self.rev)],
+            -1: [ends[d] + (fsz[r], fsz[d]) for d, r in enumerate(self.rev)],
+        }
+        self.shape = (g.vertex_count, g.edge_count, sum(self.cls), tuple(sorted(size)))
+
+    def base(self) -> int:
+        """The dart whose invariant the fewest flags share."""
+        count = Counter(self.keys[1] + self.keys[-1])
+        return min(range(len(self.tail)), key=lambda d: (count[self.keys[1][d]], d))
+
+    def flags(self, key: tuple) -> list[tuple[int, int]]:
+        return [(d, s) for d in range(len(self.tail)) for s in (1, -1) if self.keys[s][d] == key]
 
 
-def _refine(adj1: _Adj, adj2: _Adj, c1: list[int], c2: list[int]):
-    """Jointly refine two colorings to a stable pair, or None on mismatch.
-
-    Colors live in a shared space; after each pass both sides are renumbered
-    through the same signature table, so equal colors mean equal refinement
-    history on both sides.
-    """
-    n1, n2 = len(c1), len(c2)
-    while True:
-        if Counter(c1) != Counter(c2):
-            return None
-        sigs1 = [
-            (c1[v], tuple(sorted((cls, c1[w]) for cls, w in adj1[v])))
-            for v in range(n1)
-        ]
-        sigs2 = [
-            (c2[v], tuple(sorted((cls, c2[w]) for cls, w in adj2[v])))
-            for v in range(n2)
-        ]
-        table = {sig: i for i, sig in enumerate(sorted(set(sigs1) | set(sigs2)))}
-        before = len(set(c1) | set(c2))
-        c1 = [table[s] for s in sigs1]
-        c2 = [table[s] for s in sigs2]
-        if len(table) == before:
-            if Counter(c1) != Counter(c2):
+def _extend(a: _Darts, b: _Darts, base: int, image: int, sign: int) -> tuple[int, ...] | None:
+    """The vertex map a -> b fixed by the flag, or None if it breaks."""
+    a_tail, a_rev, a_nxt, a_cls, a_deg = a.tail, a.rev, a.nxt, a.cls, a.deg
+    b_tail, b_rev, b_cls, b_deg = b.tail, b.rev, b.cls, b.deg
+    b_step = b.nxt if sign > 0 else b.prv
+    vmap, used, dmap = [-1] * len(a_deg), [False] * len(b_deg), [-1] * len(a_tail)
+    vmap[a_tail[base]] = b_tail[image]
+    used[b_tail[image]] = True
+    queue = [(base, image)]
+    for x, y in queue:
+        for _ in range(a_deg[a_tail[x]]):
+            if a_cls[x] != b_cls[y]:
                 return None
-            return c1, c2
-
-
-def _target_color(c1: list[int]) -> int | None:
-    """Smallest non-singleton color class; ties by smallest color id."""
-    sizes = Counter(c1)
-    best: tuple[int, int] | None = None
-    for color in sorted(sizes):
-        k = sizes[color]
-        if k > 1 and (best is None or k < best[0]):
-            best = (k, color)
-    return None if best is None else best[1]
-
-
-def _extract(c1: list[int], c2: list[int]) -> tuple[int, ...]:
-    """Read off the vertex map from a discrete color pair."""
-    where2 = {}
-    for v, c in enumerate(c2):
-        where2[c] = v
-    return tuple(where2[c] for c in c1)
-
-
-def _edge_table(g: PaintedGraph, respect_painting: bool) -> dict[tuple[int, int], int]:
-    table = {}
-    for i, (u, v) in enumerate(g.edges):
-        table[(u, v)] = 1 if (respect_painting and g.is_painted(i)) else 0
-    return table
-
-def _verify(
-    perm: tuple[int, ...],
-    g1: PaintedGraph,
-    table2: dict[tuple[int, int], int],
-    table1: dict[tuple[int, int], int],
-) -> bool:
-    if len(table1) != len(table2):
-        return False
-    for (u, v), cls in table1.items():
-        a, b = perm[u], perm[v]
-        key = (a, b) if a < b else (b, a)
-        if table2.get(key, -1) != cls:
-            return False
-    return True
-
-
-def _orbit(start: int, gens: list[tuple[int, ...]]) -> set[int]:
-    orb = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for p in gens:
-            y = p[x]
-            if y not in orb:
-                orb.add(y)
-                frontier.append(y)
-    return orb
-
-
-class _Search:
-    def __init__(self, g1: PaintedGraph, g2: PaintedGraph, respect_painting: bool):
-        self.adj1 = _adjacency(g1, respect_painting)
-        self.adj2 = _adjacency(g2, respect_painting)
-        self.t1 = _edge_table(g1, respect_painting)
-        self.t2 = _edge_table(g2, respect_painting)
-        self.g1 = g1
-
-    def initial(self):
-        c1 = [0] * len(self.adj1)
-        c2 = [0] * len(self.adj2)
-        return _refine(self.adj1, self.adj2, c1, c2)
-
-    def _descend(self, c1: list[int], c2: list[int], b: int, c: int):
-        fresh = max(max(c1), max(c2)) + 1
-        c1b = list(c1)
-        c2b = list(c2)
-        c1b[b] = fresh
-        c2b[c] = fresh
-        return _refine(self.adj1, self.adj2, c1b, c2b)
-
-    def first_isomorphism(self, c1: list[int], c2: list[int]):
-        """Depth-first: the lexicographically first verified map, or None."""
-        color = _target_color(c1)
-        if color is None:
-            perm = _extract(c1, c2)
-            return perm if _verify(perm, self.g1, self.t2, self.t1) else None
-        b = min(v for v, col in enumerate(c1) if col == color)
-        for c in sorted(v for v, col in enumerate(c2) if col == color):
-            refined = self._descend(c1, c2, b, c)
-            if refined is None:
-                continue
-            found = self.first_isomorphism(*refined)
-            if found is not None:
-                return found
-        return None
-
-    def automorphism_generators(self, c1: list[int], c2: list[int]) -> list[tuple[int, ...]]:
-        """All generators along the identity path (see module docstring)."""
-        color = _target_color(c1)
-        if color is None:
-            perm = _extract(c1, c2)
-            return [perm] if _verify(perm, self.g1, self.t2, self.t1) else []
-        b = min(v for v, col in enumerate(c1) if col == color)
-        found: list[tuple[int, ...]] = []
-        ident = self._descend(c1, c2, b, b)
-        if ident is not None:
-            found.extend(self.automorphism_generators(*ident))
-        for c in sorted(v for v, col in enumerate(c2) if col == color):
-            if c == b:
-                continue
-            if c in _orbit(b, found):
-                continue
-            refined = self._descend(c1, c2, b, c)
-            if refined is None:
-                continue
-            first = self.first_isomorphism(*refined)
-            if first is not None:
-                found.append(first)
-        return found
+            dmap[x] = y
+            r, t = a_rev[x], b_rev[y]
+            w = a_tail[r]
+            if vmap[w] < 0:
+                wt = b_tail[t]
+                if used[wt] or a_deg[w] != b_deg[wt]:
+                    return None
+                vmap[w], used[wt] = wt, True
+                queue.append((r, t))
+            elif dmap[r] >= 0 and dmap[r] != t:  # the edge's other end disagrees
+                return None
+            x, y = a_nxt[x], b_step[y]
+    return tuple(vmap)
 
 
 def automorphisms(
-    g: PaintedGraph,
-    respect_painting: bool = False,
-    cap: int = DEFAULT_CAP,
+    g: PaintedGraph, respect_painting: bool = False, cap: int = DEFAULT_CAP
 ) -> PermGroup:
-    """The automorphism group of g (painted edges preserved when asked)."""
-    search = _Search(g, g, respect_painting)
-    state = search.initial()
-    assert state is not None  # a graph is always color-compatible with itself
-    gens = search.automorphism_generators(*state)
-    perms = [Permutation(p) for p in gens if any(i != x for i, x in enumerate(p))]
-    return close(perms, degree=g.vertex_count, cap=cap)
+    """The automorphism group of g (painted edges preserved when asked).
+
+    Raises NonplanarError or PreconditionError unless g is planar and
+    3-connected, and CapExceededError once more than ``cap`` maps are found.
+    """
+    darts = _Darts(g, respect_painting)
+    base = darts.base()
+    found: list[Permutation] = []
+    for image, sign in darts.flags(darts.keys[1][base]):
+        perm = _extend(darts, darts, base, image, sign)
+        if perm is not None:
+            found.append(Permutation(perm))
+            if len(found) > cap:
+                raise CapExceededError(f"automorphism count exceeded cap of {cap}")
+    return from_elements(found, g.vertex_count)
 
 
 def find_isomorphism(
-    g1: PaintedGraph,
-    g2: PaintedGraph,
-    respect_painting: bool = False,
+    g1: PaintedGraph, g2: PaintedGraph, respect_painting: bool = False
 ) -> Permutation | None:
-    """A painted-graph isomorphism g1 -> g2, or None.
-
-    Deterministic: given canonical inputs the same map comes back every run.
-    """
-    if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
+    """A painted-graph isomorphism g1 -> g2, or None; the same inputs give
+    the same map every run.  Raises like :func:`automorphisms`."""
+    a, b = _Darts(g1, respect_painting), _Darts(g2, respect_painting)
+    if a.shape != b.shape:  # sizes, painted count, sorted face sizes
         return None
-    if respect_painting and len(g1.painted) != len(g2.painted):
-        return None
-    search = _Search(g1, g2, respect_painting)
-    state = search.initial()
-    if state is None:
-        return None
-    perm = search.first_isomorphism(*state)
-    return None if perm is None else Permutation(perm)
+    base = a.base()
+    for image, sign in b.flags(a.keys[1][base]):
+        perm = _extend(a, b, base, image, sign)
+        if perm is not None:
+            return Permutation(perm)
+    return None

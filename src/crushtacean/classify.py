@@ -14,15 +14,14 @@ symmetry group of the encoded link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .automorphism import automorphisms, find_isomorphism
 from .errors import NonplanarError, PreconditionError
 from .graphs import (
     Edge,
-    FaceSet,
     PaintedGraph,
     Rotation,
+    check_3_connected,
     dual,
     faces,
     planar_embed,
@@ -69,24 +68,6 @@ def _matching_ok(g: PaintedGraph) -> bool:
     return len(ends) == g.vertex_count
 
 
-def _dual_simple(g: PaintedGraph, fs: FaceSet) -> bool:
-    """For cubic connected planar g this is equivalent to 3-connectivity.
-
-    A dual loop is a bridge, parallel dual edges are a 2-edge cut, and for
-    cubic graphs vertex connectivity equals edge connectivity.
-    """
-    seen: set[tuple[int, int]] = set()
-    for e in range(g.edge_count):
-        fids = fs.edge_faces.get(e, ())
-        if len(fids) != 2 or fids[0] == fids[1]:
-            return False
-        key = (min(fids), max(fids))
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
-
-
 def validate_crushtacean(g: PaintedGraph) -> CrushtaceanReport:
     """Full admission check; returns a verdict with machine-stable reasons."""
     reasons: list[str] = []
@@ -103,7 +84,9 @@ def validate_crushtacean(g: PaintedGraph) -> CrushtaceanReport:
         except NonplanarError:
             reasons.append("nonplanar")
         else:
-            if not _dual_simple(g, faces(g, rot)):
+            try:
+                check_3_connected(g, rot)
+            except PreconditionError:
                 reasons.append("not_3_connected")
     if not _matching_ok(g):
         reasons.append("painted_not_perfect_matching")
@@ -140,8 +123,9 @@ def nerve_check(g: PaintedGraph, rot: Rotation | None = None) -> NerveReport:
     _require_valid(g)
     if rot is None:
         rot = planar_embed(g)
-    dg, _corr = dual(g, rot)  # raises if the dual degenerates; also asserts simplicity
-    assert dg.edge_count == g.edge_count
+    dg, _corr = dual(g, rot)  # raises if the dual degenerates or is not simple
+    if dg.edge_count != g.edge_count:
+        raise RuntimeError("dual edge count differs from the graph's")
     three_sided = all(len(g.incident[v]) == 3 for v in range(g.vertex_count))
     share_at_most_one = len(set(g.edges)) == g.edge_count
     one_painted = all(
@@ -213,10 +197,12 @@ def knot_circles(g: PaintedGraph, rot: Rotation | None = None) -> KnotStructure:
             else:
                 continue
             arc_eps.setdefault(arc, []).append(ep)
-            assert ep not in ep_arc, "endpoint reused; painting is not a matching"
+            if ep in ep_arc:
+                raise RuntimeError("endpoint reused; painting is not a matching")
             ep_arc[ep] = arc
     for arc, eps in arc_eps.items():
-        assert len(eps) == 2, f"arc {arc} has {len(eps)} endpoints"
+        if len(eps) != 2:
+            raise RuntimeError(f"arc {arc} has {len(eps)} endpoints")
         eps.sort()
 
     circles: list[KnotCircle] = []
@@ -279,73 +265,17 @@ def _cuts_via_dual(g: PaintedGraph, rot: Rotation) -> set[tuple[int, int, int]]:
     return out
 
 
-def _bridges(g: PaintedGraph, skip: tuple[int, int]) -> list[int]:
-    """All bridges of g minus two edges (disconnection impossible here
-    because callers guarantee 3-edge-connectivity)."""
-    n = g.vertex_count
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(g.edges):
-        if i in skip:
-            continue
-        nbrs[u].append((v, i))
-        nbrs[v].append((u, i))
-    disc = [-1] * n
-    low = [0] * n
-    out: list[int] = []
-    timer = 0
-    stack: list[list[int]] = [[0, -1, 0]]
-    disc[0] = low[0] = timer
-    timer += 1
-    while stack:
-        frame = stack[-1]
-        v, pedge, it = frame
-        if it < len(nbrs[v]):
-            frame[2] += 1
-            w, eidx = nbrs[v][it]
-            if eidx == pedge:
-                continue
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append([w, eidx, 0])
-            else:
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    out.append(pedge)
-    return out
-
-
-def _cuts_via_pairs(g: PaintedGraph) -> set[tuple[int, int, int]]:
-    out: set[tuple[int, int, int]] = set()
-    for i, j in combinations(range(g.edge_count), 2):
-        for b in _bridges(g, (i, j)):
-            out.add(tuple(sorted((i, j, b))))
-    return out
-
-
 def three_edge_cuts(g: PaintedGraph) -> tuple[EdgeCut, ...]:
     """All non-trivial 3-edge cuts with their painted counts.
 
-    Requires cubic 3-connected input (then every disconnecting triple is a
-    minimal cut).  Planar inputs go through the dual-triangle route; the
-    rare non-planar caller falls back to edge-pair removal plus bridge
-    detection.
+    Requires cubic 3-connected planar input (then every disconnecting
+    triple is a minimal cut, and the minimal cuts are the dual's
+    triangles); non-planar input raises NonplanarError.
     """
     if any(g.degree(v) != 3 for v in range(g.vertex_count)):
         raise PreconditionError("three_edge_cuts requires a cubic graph")
-    try:
-        rot = planar_embed(g)
-    except NonplanarError:
-        triples = _cuts_via_pairs(g)
-    else:
-        triples = _cuts_via_dual(g, rot)
     cuts = []
-    for triple in sorted(triples):
+    for triple in sorted(_cuts_via_dual(g, planar_embed(g))):
         ends = [set(g.edges[e]) for e in triple]
         if ends[0] & ends[1] & ends[2]:
             continue  # vertex star: trivial cut
@@ -427,12 +357,6 @@ class ReflectionMultiplicity:
     surface_count: int
 
 
-def _face_multiset(g: PaintedGraph) -> tuple[int, ...]:
-    """Sorted face sizes; an isomorphism invariant for 3-connected planar
-    graphs since their sphere embedding is unique."""
-    return tuple(sorted(faces(g, planar_embed(g)).face_sizes()))
-
-
 def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
     """Match g against the exceptional families with several reflection
     surfaces; everything else has exactly one."""
@@ -442,17 +366,11 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
     if g.vertex_count == 4 and _is_borromean(g):
         return ReflectionMultiplicity("borromean", None, 3)
     if g.vertex_count % 2 == 0 and g.vertex_count >= 6:
-        fm = _face_multiset(g)
         n = g.vertex_count // 2
-        if n >= 3:
-            p = gamma_pretzel(n)
-            if fm == _face_multiset(p) and find_isomorphism(g, p, True) is not None:
-                return ReflectionMultiplicity("pretzel", n, 2)
-        m = (g.vertex_count - 2) // 2
-        if m >= 2:
-            o = gamma_ochain(m)
-            if fm == _face_multiset(o) and find_isomorphism(g, o, True) is not None:
-                return ReflectionMultiplicity("o_chain", m, 2)
+        if find_isomorphism(g, gamma_pretzel(n), True) is not None:
+            return ReflectionMultiplicity("pretzel", n, 2)
+        if find_isomorphism(g, gamma_ochain(n - 1), True) is not None:
+            return ReflectionMultiplicity("o_chain", n - 1, 2)
     return ReflectionMultiplicity("unique", None, 1)
 
 

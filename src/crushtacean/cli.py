@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut", help="automorphism group (order, identified type, generators)")
     p.add_argument("graph")
     p.add_argument("--painted", action="store_true", help="restrict to painting-preserving maps")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="element cap for group closure")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="most automorphisms to enumerate")
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("classify", help="symmetry classification report (file or corpus directory)")

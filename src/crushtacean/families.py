@@ -21,13 +21,13 @@ from .classify import (
     signature_screen,
     validate_crushtacean,
 )
-from .errors import CatalogMissError, PreconditionError
+from .errors import CatalogMissError
 from .graphs import (
     Edge,
     PaintedGraph,
     Rotation,
     _canon_row,
-    check_rotation,
+    check_3_connected,
     faces,
     painted_graph,
     planar_embed,
@@ -88,14 +88,15 @@ def gamma_ochain(n: int) -> PaintedGraph:
     tri = [
         {d[0] for d in walk} for walk, s in zip(fs.faces, fs.face_sizes()) if s == 3
     ]
-    assert len(tri) == 2, f"expected 2 triangles, found {len(tri)}"
+    if len(tri) != 2:
+        raise RuntimeError(f"expected 2 triangles, found {len(tri)}")
     meets_both = [
         e
         for e in g.painted
         if set(g.edges[e]) & tri[0] and set(g.edges[e]) & tri[1]
     ]
-    assert meets_both == [g.edge_index[(x, y)]]
-    assert validate_crushtacean(g).valid
+    if meets_both != [g.edge_index[(x, y)]] or not validate_crushtacean(g).valid:
+        raise RuntimeError("o-chain construction is not the expected crushtacean")
     return g
 
 
@@ -148,7 +149,8 @@ def dodecahedron() -> PaintedGraph:
         j = (i + a) % 20
         edges.add((min(i, j), max(i, j)))
     edges = {(min(u, v), max(u, v)) for u, v in edges}
-    assert len(edges) == 30
+    if len(edges) != 30:
+        raise RuntimeError(f"dodecahedron has {len(edges)} edges, not 30")
     return painted_graph(20, sorted(edges))
 
 
@@ -196,15 +198,13 @@ def cycle_expand(
     its two rotation neighbours around the same input vertex and, by a
     painted edge, to the opposite end of the same input edge.  The output
     rotation is checked to be a sphere embedding.  Input painting, if any,
-    is ignored.  Requires minimum degree 3 (smaller degrees would create
-    loops or parallel edges).
+    is ignored.  Requires a 3-connected planar input and raises
+    PreconditionError otherwise: smaller degrees would create loops or
+    parallel edges, and a 2-vertex cut would leave 2-edge cuts.
     """
     if rot is None:
         rot = planar_embed(g)
-    else:
-        check_rotation(g, rot)
-    if any(g.degree(v) < 3 for v in range(g.vertex_count)):
-        raise PreconditionError("cycle expansion requires minimum degree 3")
+    check_3_connected(g, rot)
 
     idx: dict[tuple[int, int], int] = {}
     for v in range(g.vertex_count):
@@ -239,10 +239,8 @@ def cycle_expand(
             cp = out.edge_index[norm(xv, idx[(v, row[(i - 1) % d])])]
             rows.append(_canon_row((pe, cn, cp)))
     rot_out = tuple(rows)
-    fs = faces(out, rot_out)
-    assert len(fs.faces) == out.edge_count - out.vertex_count + 2, (
-        "expansion rotation is not a sphere embedding"
-    )
+    if len(faces(out, rot_out)) != out.edge_count - out.vertex_count + 2:
+        raise RuntimeError("expansion rotation is not a sphere embedding")
     return out, rot_out
 
 
@@ -290,9 +288,11 @@ def generate_family(
         if not (depth == 1 and skip_first):
             if verify:
                 report = validate_crushtacean(nxt)
-                assert report.valid, f"expansion invalid: {report.reasons}"
+                if not report.valid:
+                    raise RuntimeError(f"expansion invalid: {report.reasons}")
                 got = identify(automorphisms(nxt, respect_painting=True))
-                assert got == target, f"painted symmetry drifted: {got} != {target}"
+                if got != target:
+                    raise RuntimeError(f"painted symmetry drifted: {got} != {target}")
             members.append(FamilyMember(depth, nxt, nxt_rot, cur, cert))
         cur, cur_rot = nxt, nxt_rot
     return tuple(members)

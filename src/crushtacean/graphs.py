@@ -11,8 +11,10 @@ a rotation system induces.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import networkx as nx
@@ -175,6 +177,23 @@ def _is_connected(adj: Sequence[Sequence[int]], alive: Sequence[bool]) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == total
+
+
+def _component_count(g: PaintedGraph) -> int:
+    seen = [False] * g.vertex_count
+    count = 0
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for w in g.adjacency[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
 
 
 def validate_basic(g: PaintedGraph) -> StructReport:
@@ -391,6 +410,33 @@ def faces(g: PaintedGraph, rot: Rotation) -> FaceSet:
     return FaceSet(tuple(walks))
 
 
+def check_3_connected(g: PaintedGraph, rot: Rotation) -> FaceSet:
+    """The faces of rot, once rot is known to embed a 3-connected graph.
+
+    A connected graph embedded in the sphere (V - E + F = 2) is
+    3-connected exactly when every face is bounded by a cycle and any two
+    faces meet in nothing, in one vertex or in one edge; a 2-vertex cut
+    shows up as two faces that share both cut vertices but no edge between
+    them.  Raises PreconditionError otherwise.
+    """
+    fs = faces(g, rot)
+    if _component_count(g) != 1 or g.vertex_count - g.edge_count + len(fs) != 2:
+        raise PreconditionError("rotation is not a sphere embedding of a connected graph")
+    at_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for fid, walk in enumerate(fs.faces):
+        tails = {tail for tail, _head, _e in walk}
+        if len(walk) < 3 or len(tails) != len(walk):
+            raise PreconditionError("graph is not 3-connected: a face is not bounded by a cycle")
+        for v in tails:
+            at_vertex[v].append(fid)
+    shared = Counter(pair for fids in at_vertex for pair in combinations(sorted(fids), 2))
+    beside_edge = {tuple(sorted(fids)) for fids in fs.edge_faces.values()}
+    for pair, count in shared.items():
+        if count > 2 or (count == 2 and pair not in beside_edge):
+            raise PreconditionError("graph is not 3-connected: two faces meet beyond one vertex or edge")
+    return fs
+
+
 def _canon_walk(walk: list[Dart]) -> tuple[Dart, ...]:
     k = walk.index(min(walk))
     return tuple(walk[k:]) + tuple(walk[:k])
@@ -476,4 +522,6 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
             check_rotation(g, rot)
         except (KeyError, InvalidRotationError) as exc:
             raise GraphFormatError(f"rotation does not match graph: {exc}") from exc
+        if n - g.edge_count + len(faces(g, rot)) != 2 * _component_count(g):
+            raise GraphFormatError("rotation is not a sphere embedding (V - E + F != 2 per component)")
     return g, rot

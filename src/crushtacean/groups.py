@@ -122,6 +122,24 @@ def close(
     return PermGroup(degree, gens, ordered)
 
 
+def from_elements(elements: Iterable[Permutation], degree: int) -> PermGroup:
+    """The group whose elements (all of them) are given, in sorted order.
+
+    Its generators are greedy: each element, in sorted order, that the
+    ones chosen before it do not generate.
+    """
+    ordered = tuple(sorted(elements))
+    gens: list[Permutation] = []
+    span = {Permutation.identity(degree)}
+    for p in ordered:
+        if len(span) == len(ordered):
+            break
+        if p not in span:
+            gens.append(p)
+            span = set(close(gens, degree).elements)
+    return PermGroup(degree, tuple(gens), ordered)
+
+
 class GroupSignature(NamedTuple):
     """Abstract-isomorphism invariants used to identify a group."""
 

@@ -7,7 +7,7 @@ by dualizing stacked triangulations (always simple, cubic, planar and
 3-connected) and painting a maximum matching.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 import networkx as nx
 
@@ -65,6 +65,24 @@ def splice(g1: PaintedGraph, g2: PaintedGraph, e1: int = 0, e2: int = 0) -> Pain
     edges += [(a + n1, b + n1) for i, (a, b) in enumerate(g2.edges) if i != e2]
     edges += [(u1, u2 + n1), (v1, v2 + n1)]
     return painted_graph(n1 + g2.vertex_count, edges)
+
+
+def hung_blocks(block: str) -> PaintedGraph:
+    """Minimum degree 3, 2-connected but not 3-connected: four copies of a
+    block hung between two cut vertices.  "triangle" joins each triangle
+    twice to one cut vertex and once to the other; "diamond" (K4 minus an
+    edge) joins each diamond once to each."""
+    size = 3 if block == "triangle" else 4
+    a, b = 4 * size, 4 * size + 1
+    edges = []
+    for i in range(4):
+        v = [size * i + k for k in range(size)]
+        if block == "triangle":
+            edges += [(v[0], v[1]), (v[1], v[2]), (v[0], v[2]), (v[0], a), (v[2], a), (v[1], b)]
+        else:
+            edges += [(v[0], v[1]), (v[0], v[2]), (v[1], v[2]), (v[1], v[3]), (v[2], v[3])]
+            edges += [(v[0], a), (v[3], b)]
+    return painted_graph(b + 1, edges)
 
 
 def brute_cuts(g: PaintedGraph) -> list[tuple[int, int, int]]:
@@ -174,23 +192,35 @@ def abstract_isomorphic(elems1: set[tuple], elems2: set[tuple]) -> bool:
 
 
 def brute_automorphism_count(g: PaintedGraph, respect_painting: bool = False) -> int:
-    """Count automorphisms by trying every vertex permutation."""
+    """Count automorphisms by trying every vertex permutation.
+
+    Permutations are built one vertex at a time in label order; a prefix is
+    dropped at the first edge between placed vertices whose image is not an
+    edge (or, when asked, is painted differently), which skips only
+    permutations that would fail that same check.
+    """
     edge_set = set(g.edges)
-    painted = {g.edges[e] for e in g.painted}
-    count = 0
-    for perm in permutations(range(g.vertex_count)):
-        ok = True
-        for u, v in g.edges:
-            a, b = perm[u], perm[v]
-            img = (a, b) if a < b else (b, a)
-            if img not in edge_set:
-                ok = False
-                break
-            if respect_painting:
-                src = (u, v) if u < v else (v, u)
-                if (src in painted) != (img in painted):
-                    ok = False
+    painted = {g.edges[e] for e in g.painted} if respect_painting else set()
+    earlier = [[u for u in g.adjacency[v] if u < v] for v in range(g.vertex_count)]
+    perm: list[int] = []
+
+    def extend() -> int:
+        v = len(perm)
+        if v == g.vertex_count:
+            return 1
+        count = 0
+        for img in range(g.vertex_count):
+            if img in perm:
+                continue
+            for u in earlier[v]:
+                a, b = perm[u], img
+                pair = (a, b) if a < b else (b, a)
+                if pair not in edge_set or ((u, v) in painted) != (pair in painted):
                     break
-        if ok:
-            count += 1
-    return count
+            else:
+                perm.append(img)
+                count += extend()
+                perm.pop()
+        return count
+
+    return extend()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from crushtacean import (
+    NonplanarError,
     PreconditionError,
     classify_bprime,
     cycle_expand,
@@ -203,6 +204,9 @@ def test_cut_painted_parity(rng):
 def test_cuts_require_cubic():
     with pytest.raises(PreconditionError):
         three_edge_cuts(wheel(5))
+    k33 = painted_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    with pytest.raises(NonplanarError):
+        three_edge_cuts(k33)
 
 
 def test_bprime_verdicts():

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from crushtacean import parse_graph, serialize_graph
+from crushtacean import parse_graph, planar_embed, serialize_graph
 from crushtacean.cli import main
 from crushtacean.families import gamma_borromean, gamma_pretzel, wheel
+from helpers import hung_blocks
 
 
 def run(capsys, *argv):
@@ -200,3 +201,27 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", "-")
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_non_sphere_rotation_exits_two(tmp_path, capsys):
+    g = gamma_borromean()
+    doc = json.loads(serialize_graph(g, planar_embed(g)))
+    doc["rotation"][0].reverse()  # K4 on the torus: two faces instead of four
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["expand", str(path)], ["render", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("block", ["triangle", "diamond"])
+def test_seed_not_3_connected_exits_two(tmp_path, capsys, block):
+    path = write_graph(tmp_path, f"hung_{block}.json", hung_blocks(block))
+    for argv in (
+        ["expand", path],
+        ["family", "--seed", path, "--count", "1", "--out", str(tmp_path / "fam")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")

@@ -115,6 +115,7 @@ def test_serialize_with_rotation_round_trips():
         lambda d: d.update(painted=[99]),
         lambda d: d.update(rotation=[[0, 1], [0, 3], [1, 4], [2, 5]]),
         lambda d: d.update(rotation="no"),
+        lambda d: d["rotation"][0].reverse(),  # K4 on the torus
     ],
 )
 def test_parse_rejects_mangled_documents(mangle):
