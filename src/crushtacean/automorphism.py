@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import CapExceededError
-from .graphs import PaintedGraph, check_3_connected, planar_embed
+from .graphs import PaintedGraph
 from .groups import DEFAULT_CAP, PermGroup, Permutation, from_elements
 
 
@@ -25,8 +25,7 @@ class _Darts:
     are numbered consecutively in its rotation order."""
 
     def __init__(self, g: PaintedGraph, respect_painting: bool):
-        rot = planar_embed(g)
-        fs = check_3_connected(g, rot)
+        rot, fs = g.embedding.rotation, g.embedding.faces
         size = fs.face_sizes()
         darts = [(v, e) for v, row in enumerate(rot) for e in row]
         index = {d: i for i, d in enumerate(darts)}

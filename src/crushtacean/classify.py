@@ -13,20 +13,12 @@ symmetry group of the encoded link.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .automorphism import automorphisms, find_isomorphism
 from .errors import NonplanarError, PreconditionError
-from .graphs import (
-    Edge,
-    PaintedGraph,
-    Rotation,
-    check_3_connected,
-    dual,
-    faces,
-    planar_embed,
-    validate_basic,
-)
+from .graphs import Edge, PaintedGraph, Rotation, embedding_of, validate_basic
 from .groups import GroupId, identify
 
 # fixed rule identifiers used in report JSON (wire format, golden-file stable)
@@ -80,14 +72,11 @@ def validate_crushtacean(g: PaintedGraph) -> CrushtaceanReport:
         reasons.append("disconnected")
     elif struct.cubic and struct.vertex_count >= 4:
         try:
-            rot = planar_embed(g)
+            g.embedding  # built once here; every later stage reuses it
         except NonplanarError:
             reasons.append("nonplanar")
-        else:
-            try:
-                check_3_connected(g, rot)
-            except PreconditionError:
-                reasons.append("not_3_connected")
+        except PreconditionError:
+            reasons.append("not_3_connected")
     if not _matching_ok(g):
         reasons.append("painted_not_perfect_matching")
     return CrushtaceanReport(valid=not reasons, reasons=tuple(reasons))
@@ -114,27 +103,18 @@ def nerve_check(g: PaintedGraph, rot: Rotation | None = None) -> NerveReport:
     """Check the planar dual is a sphere triangulation whose triangles each
     cross exactly one painted edge.
 
-    Dual faces correspond to primal vertices, so the triangle condition is
-    that every dual face has three sides (primal degree 3filtered by the
-    cubic check) and distinct dual faces share at most one edge (primal
-    simplicity); the painted condition says every vertex star contains
-    exactly one painted edge.
+    Both are read off the faces of the dual's own embedding: every dual
+    face has three sides, and each crosses one painted edge.  The dual is
+    simple by construction (building it raises otherwise).
     """
     _require_valid(g)
-    if rot is None:
-        rot = planar_embed(g)
-    dg, _corr = dual(g, rot)  # raises if the dual degenerates or is not simple
-    if dg.edge_count != g.edge_count:
-        raise RuntimeError("dual edge count differs from the graph's")
-    three_sided = all(len(g.incident[v]) == 3 for v in range(g.vertex_count))
-    share_at_most_one = len(set(g.edges)) == g.edge_count
-    one_painted = all(
-        sum(1 for e in g.incident[v] if g.is_painted(e)) == 1
-        for v in range(g.vertex_count)
-    )
+    dg, _corr = embedding_of(g, rot).dual
+    walks = dg.embedding.faces.faces
     return NerveReport(
-        is_triangulation=three_sided and share_at_most_one,
-        one_painted_per_triangle=one_painted,
+        is_triangulation=all(len(walk) == 3 for walk in walks),
+        one_painted_per_triangle=all(
+            sum(dg.is_painted(e) for _t, _h, e in walk) == 1 for walk in walks
+        ),
     )
 
 
@@ -179,9 +159,7 @@ def knot_circles(g: PaintedGraph, rot: Rotation | None = None) -> KnotStructure:
     traversal orbits of the arc-segment gluing, emitted in canonical order.
     """
     _require_valid(g)
-    if rot is None:
-        rot = planar_embed(g)
-    fs = faces(g, rot)
+    fs = embedding_of(g, rot).faces
     arc_eps: dict[tuple[int, int], list[tuple[int, int]]] = {}
     ep_arc: dict[tuple[int, int], tuple[int, int]] = {}
     for fid, walk in enumerate(fs.faces):
@@ -247,35 +225,27 @@ class EdgeCut:
     painted_count: int
 
 
-def _cuts_via_dual(g: PaintedGraph, rot: Rotation) -> set[tuple[int, int, int]]:
-    """Minimal 3-edge cuts of a 3-edge-connected planar graph are exactly
-    the triangles of its dual; facial dual triangles are the vertex stars."""
-    dg, corr = dual(g, rot)
-    inv = {d: p for p, d in enumerate(corr)}
-    nbrs = [set(row) for row in dg.adjacency]
-    out: set[tuple[int, int, int]] = set()
-    for d_idx, (a, b) in enumerate(dg.edges):
-        for c in nbrs[a] & nbrs[b]:
-            if c <= b:
-                continue
-            e1 = inv[d_idx]
-            e2 = inv[dg.edge_index[(min(a, c), max(a, c))]]
-            e3 = inv[dg.edge_index[(min(b, c), max(b, c))]]
-            out.add(tuple(sorted((e1, e2, e3))))
-    return out
-
-
 def three_edge_cuts(g: PaintedGraph) -> tuple[EdgeCut, ...]:
     """All non-trivial 3-edge cuts with their painted counts.
 
     Requires cubic 3-connected planar input (then every disconnecting
-    triple is a minimal cut, and the minimal cuts are the dual's
-    triangles); non-planar input raises NonplanarError.
+    triple is a minimal cut, and the minimal cuts are the triangles of the
+    dual; its facial triangles are the vertex stars); non-planar input
+    raises NonplanarError.
     """
     if any(g.degree(v) != 3 for v in range(g.vertex_count)):
         raise PreconditionError("three_edge_cuts requires a cubic graph")
+    dg, corr = g.embedding.dual
+    primal = {d: p for p, d in enumerate(corr)}
+    nbrs = [set(row) for row in dg.adjacency]
+    triples = {
+        tuple(sorted(primal[d] for d in (ab, dg.edge_index[(a, c)], dg.edge_index[(b, c)])))
+        for ab, (a, b) in enumerate(dg.edges)
+        for c in nbrs[a] & nbrs[b]
+        if c > b
+    }
     cuts = []
-    for triple in sorted(_cuts_via_dual(g, planar_embed(g))):
+    for triple in sorted(triples):
         ends = [set(g.edges[e]) for e in triple]
         if ends[0] & ends[1] & ends[2]:
             continue  # vertex star: trivial cut
@@ -320,18 +290,11 @@ def _is_borromean(g: PaintedGraph) -> bool:
 
 
 def has_universal_region(g: PaintedGraph, rot: Rotation | None = None) -> bool:
-    """Is some face edge-adjacent to every other face?"""
-    if rot is None:
-        rot = planar_embed(g)
-    fs = faces(g, rot)
-    k = len(fs.faces)
-    adjacent: list[set[int]] = [set() for _ in range(k)]
-    for fids in fs.edge_faces.values():
-        if len(fids) == 2 and fids[0] != fids[1]:
-            a, b = fids
-            adjacent[a].add(b)
-            adjacent[b].add(a)
-    return any(len(adjacent[f]) == k - 1 for f in range(k))
+    """Is some face edge-adjacent to every other face?  Two faces of a
+    3-connected plane graph share at most one edge, so that is a face with
+    one side per other face."""
+    fs = embedding_of(g, rot).faces
+    return len(fs) - 1 in fs.face_sizes()
 
 
 def signature_screen(seed: PaintedGraph, rot: Rotation | None = None) -> str:
@@ -359,7 +322,13 @@ class ReflectionMultiplicity:
 
 def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
     """Match g against the exceptional families with several reflection
-    surfaces; everything else has exactly one."""
+    surfaces; everything else has exactly one.
+
+    Face sizes are an isomorphism invariant of a graph with one embedding,
+    so a family template is built only when g has its face sizes: n
+    squares and two n-gons for the pretzel chain, two triangles, m - 1
+    squares and two (m + 2)-gons for the o-chain of m links.
+    """
     from .families import gamma_ochain, gamma_pretzel
 
     _require_valid(g)
@@ -367,10 +336,13 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
         return ReflectionMultiplicity("borromean", None, 3)
     if g.vertex_count % 2 == 0 and g.vertex_count >= 6:
         n = g.vertex_count // 2
-        if find_isomorphism(g, gamma_pretzel(n), True) is not None:
-            return ReflectionMultiplicity("pretzel", n, 2)
-        if find_isomorphism(g, gamma_ochain(n - 1), True) is not None:
-            return ReflectionMultiplicity("o_chain", n - 1, 2)
+        sizes = Counter(g.embedding.faces.face_sizes())
+        if sizes == Counter({4: n}) + Counter({n: 2}):
+            if find_isomorphism(g, gamma_pretzel(n), True) is not None:
+                return ReflectionMultiplicity("pretzel", n, 2)
+        if sizes == Counter({3: 2, 4: n - 2}) + Counter({n + 1: 2}):  # m = n - 1 links
+            if find_isomorphism(g, gamma_ochain(n - 1), True) is not None:
+                return ReflectionMultiplicity("o_chain", n - 1, 2)
     return ReflectionMultiplicity("unique", None, 1)
 
 
@@ -485,7 +457,7 @@ def symmetry_report(
     if expansion_seed is not None:
         from .families import cycle_expand
 
-        expanded, _rot = cycle_expand(expansion_seed, planar_embed(expansion_seed))
+        expanded, _rot = cycle_expand(expansion_seed)
         if find_isomorphism(expanded, g, respect_painting=True) is None:
             raise PreconditionError("expansion_seed does not expand to the given graph")
         screen = signature_screen(expansion_seed)

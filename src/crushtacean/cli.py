@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .automorphism import automorphisms
 from .classify import symmetry_report, validate_crushtacean
-from .errors import CapExceededError, CrushtaceanError
+from .errors import CapExceededError, CrushtaceanError, GraphFormatError
 from .families import (
     antiprism,
     cube,
@@ -31,7 +31,7 @@ from .families import (
     tetrahedron,
     wheel,
 )
-from .graphs import PaintedGraph, Rotation, parse_graph, planar_embed, serialize_graph
+from .graphs import GRAPH_FORMAT, PaintedGraph, Rotation, parse_graph, serialize_graph
 from .groups import DEFAULT_CAP, GroupId, identify
 
 EXIT_OK = 0
@@ -87,17 +87,32 @@ def cmd_aut(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _corpus_row(f: Path) -> dict | None:
+    """A corpus file's report row, an error row when it does not parse, or
+    None for JSON in another format (such as a family's index.json)."""
+    text = f.read_text()
+    try:
+        g, _rot = parse_graph(text)
+    except GraphFormatError as exc:
+        try:
+            fmt = json.loads(text).get("format")
+        except (ValueError, AttributeError):
+            fmt = None
+        if isinstance(fmt, str) and fmt != GRAPH_FORMAT:
+            return None
+        return {"file": f.name, "error": str(exc)}
+    return {"file": f.name, "report": symmetry_report(g).to_json_dict()}
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     path = Path(args.graph)
     if path.is_dir():
         if args.seed is not None:
             raise CrushtaceanError("--seed applies to a single graph, not a corpus")
-        rows = []
-        for f in sorted(p for p in path.iterdir() if p.suffix == ".json"):
-            g, _rot = parse_graph(f.read_text())
-            rows.append({"file": f.name, "report": symmetry_report(g).to_json_dict()})
+        files = sorted(p for p in path.iterdir() if p.suffix == ".json")
+        rows = [row for row in map(_corpus_row, files) if row is not None]
         _print_json(rows)
-        return EXIT_OK
+        return EXIT_INPUT if any("error" in row for row in rows) else EXIT_OK
     g, _rot = _read_graph(args.graph)
     seed = None
     if args.seed is not None:
@@ -110,7 +125,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     g, rot = _read_graph(args.graph)
     for _ in range(args.count):
-        g, rot = cycle_expand(g, rot)
+        g, rot = cycle_expand(g)
     _emit(serialize_graph(g, rot), args.out)
     return EXIT_OK
 
@@ -135,7 +150,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if not wants_param and args.param is not None:
         raise CrushtaceanError(f"generator '{args.name}' takes no parameter")
     g = make(args.param) if wants_param else make()
-    _emit(serialize_graph(g, planar_embed(g)), args.out)
+    _emit(serialize_graph(g, g.embedding.rotation), args.out)
     return EXIT_OK
 
 

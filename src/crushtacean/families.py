@@ -12,7 +12,7 @@ links with a prescribed orientation-preserving symmetry group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automorphism import automorphisms
 from .classify import (
@@ -22,16 +22,7 @@ from .classify import (
     validate_crushtacean,
 )
 from .errors import CatalogMissError
-from .graphs import (
-    Edge,
-    PaintedGraph,
-    Rotation,
-    _canon_row,
-    check_3_connected,
-    faces,
-    painted_graph,
-    planar_embed,
-)
+from .graphs import Edge, PaintedGraph, Rotation, _canon_row, embedding_of, faces, painted_graph
 from .groups import GroupId, identify
 
 # ---------------------------------------------------------------------------
@@ -83,8 +74,7 @@ def gamma_ochain(n: int) -> PaintedGraph:
 
     # structural self-check: exactly two triangles, and p0 is the unique
     # painted edge touching both of them
-    rot = planar_embed(g)
-    fs = faces(g, rot)
+    fs = g.embedding.faces
     tri = [
         {d[0] for d in walk} for walk, s in zip(fs.faces, fs.face_sizes()) if s == 3
     ]
@@ -197,15 +187,13 @@ def cycle_expand(
     Each edge-end of the input becomes a vertex of the output, joined to
     its two rotation neighbours around the same input vertex and, by a
     painted edge, to the opposite end of the same input edge.  The output
-    rotation is checked to be a sphere embedding.  Input painting, if any,
-    is ignored.  Requires a 3-connected planar input and raises
-    PreconditionError otherwise: smaller degrees would create loops or
-    parallel edges, and a 2-vertex cut would leave 2-edge cuts.
+    rotation is checked to be a sphere embedding and rides on the output
+    graph.  Input painting, if any, is ignored.  Requires a 3-connected
+    planar input and raises PreconditionError otherwise: smaller degrees
+    would create loops or parallel edges, and a 2-vertex cut would leave
+    2-edge cuts.
     """
-    if rot is None:
-        rot = planar_embed(g)
-    check_3_connected(g, rot)
-
+    rot = embedding_of(g, rot).rotation
     idx: dict[tuple[int, int], int] = {}
     for v in range(g.vertex_count):
         for e in rot[v]:
@@ -241,7 +229,7 @@ def cycle_expand(
     rot_out = tuple(rows)
     if len(faces(out, rot_out)) != out.edge_count - out.vertex_count + 2:
         raise RuntimeError("expansion rotation is not a sphere embedding")
-    return out, rot_out
+    return replace(out, rotation=rot_out), rot_out
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +263,14 @@ def generate_family(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    seed_rot = planar_embed(seed)
     target = identify(automorphisms(seed, respect_painting=False)) if verify else None
     members: list[FamilyMember] = []
-    cur, cur_rot = seed, seed_rot
+    cur = seed
     depth = 0
-    skip_first = has_universal_region(seed, seed_rot)
+    skip_first = has_universal_region(seed)
     while len(members) < count:
-        cert = signature_screen(cur, cur_rot) == SCREEN_NOT_SIGNATURE
-        nxt, nxt_rot = cycle_expand(cur, cur_rot)
+        cert = signature_screen(cur) == SCREEN_NOT_SIGNATURE
+        nxt, nxt_rot = cycle_expand(cur)
         depth += 1
         if not (depth == 1 and skip_first):
             if verify:
@@ -294,7 +281,7 @@ def generate_family(
                 if got != target:
                     raise RuntimeError(f"painted symmetry drifted: {got} != {target}")
             members.append(FamilyMember(depth, nxt, nxt_rot, cur, cert))
-        cur, cur_rot = nxt, nxt_rot
+        cur = nxt
     return tuple(members)
 
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from .errors import (
     GraphFormatError,
@@ -43,12 +41,15 @@ class PaintedGraph:
     Invariants (enforced by the ``painted_graph`` factory): edges are
     loop-free, duplicate-free, stored as (u, v) with u < v in ascending
     order; painted indices are ascending and in range; every vertex is
-    incident to at least one edge.
+    incident to at least one edge.  ``rotation`` is a sphere rotation the
+    graph arrived with (from a file or a construction); it takes no part in
+    equality, hashing or serialization.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
     painted: tuple[int, ...]
+    rotation: Rotation | None = field(default=None, compare=False, hash=False, repr=False)
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -70,6 +71,14 @@ class PaintedGraph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(row)) for row in adj)
+
+    @cached_property
+    def embedding(self) -> Embedding:
+        """The sphere embedding, unique up to mirror image (Whitney): the
+        carried rotation, else the planarity test's.  Raises NonplanarError,
+        or PreconditionError unless the graph is 3-connected."""
+        rot = planar_embed(self) if self.rotation is None else self.rotation
+        return Embedding(self, rot, check_3_connected(self, rot))
 
     @cached_property
     def painted_set(self) -> frozenset[int]:
@@ -199,15 +208,11 @@ def _component_count(g: PaintedGraph) -> int:
 def validate_basic(g: PaintedGraph) -> StructReport:
     """Report simple/connected/cubic structure.  Never raises."""
     degs = [g.degree(v) for v in range(g.vertex_count)]
-    # The factory already rejects loops and duplicates, so within the type
-    # simplicity always holds; recomputed here so the report stands alone.
-    simple = len(set(g.edges)) == len(g.edges) and all(u != v for u, v in g.edges)
-    connected = _is_connected(g.adjacency, [True] * g.vertex_count)
     return StructReport(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
-        simple=simple,
-        connected=connected,
+        simple=True,  # the factory rejects loops and duplicate edges
+        connected=_is_connected(g.adjacency, [True] * g.vertex_count),
         cubic=all(d == 3 for d in degs),
         degree_min=min(degs),
         degree_max=max(degs),
@@ -320,6 +325,8 @@ def planar_embed(g: PaintedGraph) -> Rotation:
     the left-right planarity algorithm; rows are reduced to canonical
     cyclic form so equal graphs embed identically run to run.
     """
+    import networkx as nx  # the only networkx use; inputs with a rotation never load it
+
     if not _is_connected(g.adjacency, [True] * g.vertex_count):
         raise PreconditionError("planar_embed requires a connected graph")
     G = nx.Graph()
@@ -328,13 +335,10 @@ def planar_embed(g: PaintedGraph) -> Rotation:
     ok, emb = nx.check_planarity(G, counterexample=False)
     if not ok:
         raise NonplanarError("graph is not planar")
-    data = emb.get_data()
-    rows = []
-    for v in range(g.vertex_count):
-        idx = g.edge_index
-        row = [idx[(v, w)] if v < w else idx[(w, v)] for w in data[v]]
-        rows.append(_canon_row(row))
-    return tuple(rows)
+    data, idx = emb.get_data(), g.edge_index
+    return tuple(
+        _canon_row([idx[(min(v, w), max(v, w))] for w in data[v]]) for v in range(g.vertex_count)
+    )
 
 
 def check_rotation(g: PaintedGraph, rot: Rotation) -> None:
@@ -442,17 +446,42 @@ def _canon_walk(walk: list[Dart]) -> tuple[Dart, ...]:
     return tuple(walk[k:]) + tuple(walk[:k])
 
 
+class Embedding:
+    """A 3-connected graph's sphere embedding: its rotation, its faces and,
+    built on first use, its dual."""
+
+    def __init__(self, g: PaintedGraph, rot: Rotation, fs: FaceSet):
+        self.graph, self.rotation, self.faces = g, rot, fs
+
+    @cached_property
+    def dual(self) -> tuple[PaintedGraph, tuple[int, ...]]:
+        return _dual(self.graph, self.faces)
+
+
+def embedding_of(g: PaintedGraph, rot: Rotation | None = None) -> Embedding:
+    """g's cached embedding, or the one an explicitly given rot describes
+    (checked the same way)."""
+    if rot is None or rot == g.rotation:
+        return g.embedding
+    return replace(g, rotation=rot).embedding
+
+
 def dual(g: PaintedGraph, rot: Rotation) -> tuple[PaintedGraph, tuple[int, ...]]:
     """Planar dual plus edge correspondence.
 
     Returns (dual_graph, corr) where corr[primal_edge] = dual_edge.  The
     dual's painted set is the image of the primal painted set, so the
-    correspondence records which dual edges cross painted primal edges.
-    Requires every primal edge to separate two distinct faces that do not
-    already share another edge (true for all 3-connected inputs here);
-    otherwise the dual is not simple and a PreconditionError is raised.
+    correspondence records which dual edges cross painted primal edges;
+    the dual carries the rotation that lists each face's edges in walk
+    order.  Requires every primal edge to separate two distinct faces that
+    do not already share another edge (true for all 3-connected inputs
+    here); otherwise the dual is not simple and a PreconditionError is
+    raised.
     """
-    fs = faces(g, rot)
+    return _dual(g, faces(g, rot))
+
+
+def _dual(g: PaintedGraph, fs: FaceSet) -> tuple[PaintedGraph, tuple[int, ...]]:
     ef = fs.edge_faces
     dual_edges: list[Edge] = []
     for e in range(g.edge_count):
@@ -466,7 +495,8 @@ def dual(g: PaintedGraph, rot: Rotation) -> tuple[PaintedGraph, tuple[int, ...]]
     painted_pairs = [dual_edges[i] for i in g.painted]
     dg = painted_graph(len(fs.faces), dual_edges, painted_pairs)
     corr = tuple(dg.edge_index[e] for e in dual_edges)
-    return dg, corr
+    rot = tuple(_canon_row([corr[e] for _t, _h, e in walk]) for walk in fs.faces)
+    return replace(dg, rotation=rot), corr
 
 
 # ---------------------------------------------------------------------------
@@ -524,4 +554,5 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
             raise GraphFormatError(f"rotation does not match graph: {exc}") from exc
         if n - g.edge_count + len(faces(g, rot)) != 2 * _component_count(g):
             raise GraphFormatError("rotation is not a sphere embedding (V - E + F != 2 per component)")
+        g = replace(g, rotation=rot)
     return g, rot

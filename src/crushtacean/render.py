@@ -11,22 +11,18 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError
-from .graphs import PaintedGraph, Rotation, faces, planar_embed
+from .graphs import PaintedGraph, Rotation, embedding_of
 
 Point = tuple[float, float]
 
 
 def tutte_layout(g: PaintedGraph, rot: Rotation | None = None) -> list[Point]:
-    """Coordinates per vertex, outer face on the unit circle."""
-    if rot is None:
-        rot = planar_embed(g)
-    fs = faces(g, rot)
+    """Coordinates per vertex, outer face on the unit circle.  Raises
+    NonplanarError or PreconditionError unless g is planar and 3-connected."""
+    fs = embedding_of(g, rot).faces
     sizes = fs.face_sizes()
     outer = max(range(len(sizes)), key=lambda f: (sizes[f], -f))
-    boundary = list(dict.fromkeys(d[0] for d in fs.faces[outer]))
-    if len(boundary) < 3:
-        raise PreconditionError("outer face is not a simple cycle")
+    boundary = [tail for tail, _head, _e in fs.faces[outer]]  # a cycle: g is 3-connected
     pos: dict[int, Point] = {}
     for i, v in enumerate(boundary):
         ang = 2.0 * math.pi * i / len(boundary) - math.pi / 2.0

@@ -7,6 +7,7 @@ by dualizing stacked triangulations (always simple, cubic, planar and
 3-connected) and painting a maximum matching.
 """
 
+import json
 from itertools import combinations
 
 import networkx as nx
@@ -83,6 +84,58 @@ def hung_blocks(block: str) -> PaintedGraph:
             edges += [(v[0], v[1]), (v[0], v[2]), (v[1], v[2]), (v[1], v[3]), (v[2], v[3])]
             edges += [(v[0], a), (v[3], b)]
     return painted_graph(b + 1, edges)
+
+
+def mirror(rot: tuple) -> tuple:
+    """The mirror image of a rotation: every row reversed."""
+    return tuple(tuple(reversed(row)) for row in rot)
+
+
+def flip_block(g: PaintedGraph, rot: tuple, side: set) -> tuple:
+    """Another sphere rotation of g when ``side`` is cut off by two vertices
+    or two edges: ``side`` is mirrored, and at each vertex outside it the
+    (contiguous) run of edges into ``side`` is reversed."""
+    rows = []
+    for v, row in enumerate(rot):
+        if v in side:
+            rows.append(tuple(reversed(row)))
+            continue
+        into = [g.other_end(e, v) in side for e in row]
+        m, d = sum(into), len(row)
+        k = next(k for k in range(d) if all(into[(k + j) % d] for j in range(m)))
+        turned = row[k:] + row[:k]
+        rows.append(tuple(reversed(turned[:m])) + turned[m:])
+    return tuple(rows)
+
+
+def shuffled_document(g: PaintedGraph, rot, rng) -> str:
+    """painted-graph/1 text for g with vertices relabelled, the edge list
+    shuffled, edge ends flipped and rotation rows started anywhere."""
+    n = g.vertex_count
+    perm = list(range(n))
+    rng.shuffle(perm)
+    order = list(range(g.edge_count))  # order[new] = old edge index
+    rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    edges = []
+    for old in order:
+        pair = [perm[u] for u in g.edges[old]]
+        if rng.random() < 0.5:
+            pair.reverse()
+        edges.append(pair)
+    doc = {
+        "format": "painted-graph/1",
+        "vertices": n,
+        "edges": edges,
+        "painted": sorted(new_index[i] for i in g.painted),
+    }
+    if rot is not None:
+        rows: list = [None] * n
+        for v, row in enumerate(rot):
+            k = rng.randrange(len(row))
+            rows[perm[v]] = [new_index[e] for e in row[k:] + row[:k]]
+        doc["rotation"] = rows
+    return json.dumps(doc)
 
 
 def brute_cuts(g: PaintedGraph) -> list[tuple[int, int, int]]:

@@ -13,7 +13,10 @@ from crushtacean import (
     knot_circles,
     nerve_check,
     painted_graph,
+    parse_graph,
     planar_embed,
+    relabel,
+    serialize_graph,
     signature_screen,
     symmetry_report,
     three_edge_cuts,
@@ -28,7 +31,7 @@ from crushtacean.families import (
     prism,
     wheel,
 )
-from helpers import brute_cuts, random_crushtacean, random_cubic_planar
+from helpers import brute_cuts, mirror, random_crushtacean, random_cubic_planar
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -119,6 +122,18 @@ def test_nerve_check_on_valid_graphs(rng):
     for _ in range(6):
         rep = nerve_check(random_crushtacean(rng, rng.randrange(0, 8)))
         assert rep.is_triangulation and rep.one_painted_per_triangle
+
+
+def test_nerve_check_reads_any_sphere_rotation(rng):
+    for _ in range(5):
+        g = random_crushtacean(rng, rng.randrange(0, 8))
+        rep = nerve_check(g, mirror(planar_embed(g)))
+        assert rep.is_triangulation and rep.one_painted_per_triangle
+    # painting two edges at a vertex leaves that dual triangle crossing two
+    g = painted_graph(4, K4_EDGES, [(0, 1), (0, 2), (1, 3)])
+    dg, _corr = g.embedding.dual
+    crossings = sorted(sum(dg.is_painted(e) for _t, _h, e in w) for w in dg.embedding.faces.faces)
+    assert crossings == [1, 1, 2, 2]
 
 
 def test_nerve_check_refuses_invalid_input():
@@ -274,9 +289,45 @@ def test_reflection_multiplicity_branches():
     assert detect_reflection_multiplicity(ex).tag == "unique"
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_reflection_finds_relabelled_chains_in_their_mirror_image(rng, n):
+    """The templates are built only on a face-size match; a relabelled
+    chain carrying its mirrored rotation still matches."""
+    for g, tag, k in ((gamma_pretzel(n), "pretzel", n), (gamma_ochain(n - 1), "o_chain", n - 1)):
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        h, _rot = parse_graph(serialize_graph(h, mirror(planar_embed(h))))
+        r = detect_reflection_multiplicity(h)
+        assert (r.tag, r.n) == (tag, k)
+
+
 # ---------------------------------------------------------------------------
 # symmetry report
 # ---------------------------------------------------------------------------
+
+
+def count_planarity_tests(monkeypatch):
+    import networkx as nx
+
+    calls = []
+    real = nx.check_planarity
+    monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_report_embeds_only_graphs_without_a_rotation(monkeypatch):
+    seed = prism(6)
+    member, rot = cycle_expand(seed)
+    member_text = serialize_graph(member, rot)
+    with_rot = serialize_graph(seed, planar_embed(seed))
+    calls = count_planarity_tests(monkeypatch)
+    for seed_text, want in ((serialize_graph(seed), 1), (with_rot, 0)):
+        calls.clear()
+        g, _ = parse_graph(member_text)
+        s, _ = parse_graph(seed_text)
+        assert symmetry_report(g, expansion_seed=s).b_prime.tag == "b_prime"
+        assert len(calls) == want
 
 
 def test_report_borromean():

@@ -1,12 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from crushtacean import parse_graph, planar_embed, serialize_graph
+from crushtacean import cycle_expand, parse_graph, planar_embed, serialize_graph
 from crushtacean.cli import main
-from crushtacean.families import gamma_borromean, gamma_pretzel, wheel
+from crushtacean.families import gamma_borromean, gamma_pretzel, prism, wheel
 from helpers import hung_blocks
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -119,6 +125,49 @@ def test_classify_directory_deterministic(tmp_path, capsys):
     assert rows[0]["report"]["group_id"] == "D4"
 
 
+def test_classify_family_directory(tmp_path, capsys):
+    outdir = tmp_path / "d"
+    code, _, _ = run(capsys, "family", "--group", "D5", "--count", "2", "--out", str(outdir))
+    assert code == 0
+    code, out, _ = run(capsys, "classify", str(outdir))
+    assert code == 0
+    rows = json.loads(out)  # index.json, a crushtacean-family/1 manifest, is skipped
+    assert [r["file"] for r in rows] == ["member_01.json", "member_02.json"]
+    assert all(r["report"]["group_id"] == "D5" for r in rows)
+
+
+def test_classify_directory_error_row(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_graph(corpus, "a_borromean.json", gamma_borromean())
+    text = serialize_graph(gamma_pretzel(4))
+    (corpus / "b_truncated.json").write_text(text[: len(text) // 2])
+    code, out, _ = run(capsys, "classify", str(corpus))
+    assert code == 2
+    good, bad = json.loads(out)
+    assert good["report"]["crushtacean_valid"] is True
+    assert set(bad) == {"file", "error"} and bad["file"] == "b_truncated.json"
+
+
+def test_classify_with_rotations_never_loads_networkx(tmp_path):
+    seed = prism(5)
+    member, rot = cycle_expand(seed)
+    seed_path = write_graph(tmp_path, "seed.json", seed, planar_embed(seed))
+    member_path = write_graph(tmp_path, "member.json", member, rot)
+    script = (
+        "import sys, crushtacean.cli\n"
+        f"code = crushtacean.cli.main(['classify', {member_path!r}, '--seed', {seed_path!r}])\n"
+        "print('networkx' in sys.modules, file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["signature_screen"] == "not_signature"
+    assert proc.stderr == "False\n"
+
+
 def test_expand_counts(tmp_path, capsys):
     path = write_graph(tmp_path, "w4.json", wheel(4))
     code, out, _ = run(capsys, "expand", path, "-n", "2")
@@ -221,6 +270,7 @@ def test_seed_not_3_connected_exits_two(tmp_path, capsys, block):
     for argv in (
         ["expand", path],
         ["family", "--seed", path, "--count", "1", "--out", str(tmp_path / "fam")],
+        ["render", path],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

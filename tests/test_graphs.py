@@ -245,3 +245,30 @@ def test_faces_deterministic():
     rot = planar_embed(g)
     assert faces(g, rot).faces == faces(g, rot).faces
     assert planar_embed(g) == rot
+
+
+def test_rotation_rides_along_without_changing_the_value():
+    g = k4([(0, 1), (2, 3)])
+    h, rot = parse_graph(serialize_graph(g, planar_embed(g)))
+    assert h.rotation == rot
+    assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+    assert serialize_graph(h) == serialize_graph(g)
+    assert h.embedding is h.embedding  # built once, then cached
+    assert h.embedding.rotation == rot
+    assert sorted(h.embedding.faces.face_sizes()) == [3, 3, 3, 3]
+
+
+def test_embedding_rejects_a_carried_rotation_of_a_2_connected_graph(rng):
+    a, b = random_cubic_planar(rng, 2), random_cubic_planar(rng, 3)
+    g = splice(a, b)
+    h, _rot = parse_graph(serialize_graph(g, planar_embed(g)))
+    with pytest.raises(PreconditionError):
+        h.embedding
+
+
+def test_dual_carries_a_sphere_rotation(rng):
+    for _ in range(10):
+        g = random_crushtacean(rng, rng.randrange(0, 10))
+        d, corr = dual(g, planar_embed(g))
+        stars = sorted(tuple(sorted(corr[e] for e in g.incident[v])) for v in range(g.vertex_count))
+        assert sorted(tuple(sorted(e for _t, _h, e in w)) for w in d.embedding.faces.faces) == stars

@@ -1,10 +1,13 @@
-"""Property tests of the automorphism engine and the 3-connectivity check.
+"""Property tests of the automorphism engine, the 3-connectivity check,
+the rotations files carry, and the report.
 
 Graphs come from the seeded generators in ``helpers``, driven by a
 Hypothesis-controlled ``random.Random``, so a failing case shrinks to a
 small seed and size.  Examples are derandomized to keep the suite
 reproducible.
 """
+
+import json
 
 import networkx as nx
 import pytest
@@ -16,18 +19,29 @@ from crushtacean import (
     Permutation,
     PreconditionError,
     automorphisms,
+    cycle_expand,
     find_isomorphism,
+    identify,
     painted_graph,
+    parse_graph,
     planar_embed,
     relabel,
+    serialize_graph,
+    symmetry_report,
+    three_edge_cuts,
+    validate_crushtacean,
 )
 from crushtacean.graphs import check_3_connected
 from helpers import (
     brute_automorphism_count,
+    flip_block,
+    hung_blocks,
+    mirror,
     nx_graph,
     random_crushtacean,
     random_cubic_planar,
     random_triangulation,
+    shuffled_document,
     splice,
 )
 
@@ -111,3 +125,106 @@ def test_3_connectivity_agrees_with_flow_oracle(rng, kind, size, deletions):
     except PreconditionError:
         ours = False
     assert ours == (nx.node_connectivity(nx_graph(g)) >= 3)
+
+
+def report_text(doc: str, seed_doc: str | None = None, witness: bool = True) -> str:
+    g, _rot = parse_graph(doc)
+    seed = None if seed_doc is None else parse_graph(seed_doc)[0]
+    report = symmetry_report(g, expansion_seed=seed).to_json_dict()
+    if not witness:
+        report["b_prime"]["witness"] = None
+    return json.dumps(report, indent=2)
+
+
+@PROPERTY
+@given(rng=RNG, size=st.integers(0, 8), expansion=st.booleans())
+def test_report_ignores_the_rotation_and_the_labelling(rng, size, expansion):
+    """The b-composite witness names vertices and edges, so it is compared
+    only where the labelling stays."""
+    if expansion:
+        seed = random_cubic_planar(rng, size // 2)
+        g, rot = cycle_expand(seed)
+        seed_rot = planar_embed(seed)
+        seed_rots = [seed_rot, mirror(seed_rot), None]
+    else:
+        seed, g = None, random_crushtacean(rng, size)
+        rot = planar_embed(g)
+    rots = [rot, mirror(rot), None]
+    seed_docs = [None] * 3 if seed is None else [serialize_graph(seed, r) for r in seed_rots]
+    docs = [serialize_graph(g, r) for r in rots]
+    want = report_text(docs[0], seed_docs[0])
+    for doc, seed_doc in zip(docs, seed_docs[::-1]):
+        assert report_text(doc, seed_doc) == want
+    want = report_text(docs[0], seed_docs[0], witness=False)
+    for r, seed_doc in zip(rots, seed_docs):
+        if seed is not None:
+            seed_doc = shuffled_document(seed, seed_rots[rng.randrange(3)], rng)
+        assert report_text(shuffled_document(g, r, rng), seed_doc, witness=False) == want
+
+
+@PROPERTY
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["crushtacean", "triangulation", "spliced", "hung", "two_k4"]),
+    size=st.integers(0, 8),
+)
+def test_validate_agrees_with_and_without_a_rotation(rng, kind, size):
+    if kind == "crushtacean":
+        g, side = random_crushtacean(rng, size), None
+    elif kind == "triangulation":
+        g, side = random_triangulation(rng, size), None
+    elif kind == "spliced":
+        a, b = random_cubic_planar(rng, size // 2), random_cubic_planar(rng, size - size // 2)
+        g = splice(a, b, rng.randrange(a.edge_count), rng.randrange(b.edge_count))
+        side = set(range(a.vertex_count, g.vertex_count))  # b's half, cut off by two edges
+    elif kind == "hung":
+        block = rng.choice(["triangle", "diamond"])
+        g = hung_blocks(block)
+        k = 3 if block == "triangle" else 4
+        side = set(range(k * (size % 4), k * (size % 4) + k))  # one block, cut off by two vertices
+    else:
+        g, side = TWO_K4, {4, 5, 6}  # the second K4, cut off by vertex 3
+    rot = planar_embed(g)
+    rotations = [rot, mirror(rot)] + ([] if side is None else [flip_block(g, rot, side)])
+    want = validate_crushtacean(g)
+    for r in rotations:
+        h, _r = parse_graph(shuffled_document(g, r, rng))  # parsing checks V - E + F = 2
+        assert h.rotation is not None
+        assert validate_crushtacean(h) == want
+        if kind in ("spliced", "hung", "two_k4"):
+            assert {"not_3_connected", "not_cubic"} & set(want.reasons)
+            with pytest.raises(PreconditionError):
+                check_3_connected(g, r)
+
+
+@PROPERTY
+@given(rng=RNG, size=st.integers(0, 12), with_rotation=st.booleans())
+def test_serialize_parse_round_trip(rng, size, with_rotation):
+    g = random_crushtacean(rng, size)
+    doc = shuffled_document(g, planar_embed(g) if with_rotation else None, rng)
+    text = serialize_graph(*parse_graph(doc))
+    assert serialize_graph(*parse_graph(text)) == text
+
+
+@PROPERTY
+@given(rng=RNG, size=st.integers(0, 12))
+def test_painted_group_divides_the_full_group(rng, size):
+    g = random_crushtacean(rng, size)
+    assert automorphisms(g).order % automorphisms(g, True).order == 0
+
+
+@PROPERTY
+@given(rng=RNG, size=st.integers(0, 12))
+def test_nontrivial_cuts_are_painted_once_or_thrice(rng, size):
+    for cut in three_edge_cuts(random_crushtacean(rng, size)):
+        assert cut.painted_count in (1, 3)
+
+
+@PROPERTY
+@given(rng=RNG, size=st.integers(0, 6))
+def test_expansion_copies_the_seed_group(rng, size):
+    seed = random_cubic_planar(rng, size)
+    ex, _rot = cycle_expand(seed)
+    full, painted = automorphisms(seed), automorphisms(ex, True)
+    assert painted.order == full.order
+    assert identify(painted) == identify(full)
