@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .automorphism import automorphisms, find_isomorphism
 from .errors import NonplanarError, PreconditionError
-from .graphs import Edge, PaintedGraph, Rotation, embedding_of, validate_basic
+from .graphs import Edge, PaintedGraph, validate_basic
 from .groups import GroupId, identify
 
 # fixed rule identifiers used in report JSON (wire format, golden-file stable)
@@ -99,7 +99,7 @@ class NerveReport:
     one_painted_per_triangle: bool
 
 
-def nerve_check(g: PaintedGraph, rot: Rotation | None = None) -> NerveReport:
+def nerve_check(g: PaintedGraph) -> NerveReport:
     """Check the planar dual is a sphere triangulation whose triangles each
     cross exactly one painted edge.
 
@@ -108,7 +108,7 @@ def nerve_check(g: PaintedGraph, rot: Rotation | None = None) -> NerveReport:
     simple by construction (building it raises otherwise).
     """
     _require_valid(g)
-    dg, _corr = embedding_of(g, rot).dual
+    dg, _corr = g.embedding.dual
     walks = dg.embedding.faces.faces
     return NerveReport(
         is_triangulation=all(len(walk) == 3 for walk in walks),
@@ -151,7 +151,7 @@ class KnotStructure:
         return len(self.crossing_links)
 
 
-def knot_circles(g: PaintedGraph, rot: Rotation | None = None) -> KnotStructure:
+def knot_circles(g: PaintedGraph) -> KnotStructure:
     """Trace the knot circles of the encoded link.
 
     Each painted edge contributes two parallel arcs, one per adjacent face;
@@ -159,7 +159,7 @@ def knot_circles(g: PaintedGraph, rot: Rotation | None = None) -> KnotStructure:
     traversal orbits of the arc-segment gluing, emitted in canonical order.
     """
     _require_valid(g)
-    fs = embedding_of(g, rot).faces
+    fs = g.embedding.faces
     arc_eps: dict[tuple[int, int], list[tuple[int, int]]] = {}
     ep_arc: dict[tuple[int, int], tuple[int, int]] = {}
     for fid, walk in enumerate(fs.faces):
@@ -289,21 +289,21 @@ def _is_borromean(g: PaintedGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def has_universal_region(g: PaintedGraph, rot: Rotation | None = None) -> bool:
+def has_universal_region(g: PaintedGraph) -> bool:
     """Is some face edge-adjacent to every other face?  Two faces of a
     3-connected plane graph share at most one edge, so that is a face with
     one side per other face."""
-    fs = embedding_of(g, rot).faces
+    fs = g.embedding.faces
     return len(fs) - 1 in fs.face_sizes()
 
 
-def signature_screen(seed: PaintedGraph, rot: Rotation | None = None) -> str:
+def signature_screen(seed: PaintedGraph) -> str:
     """Screen the link encoded by the seed's cycle expansion.
 
     No universal region in the seed certifies the expanded link is not a
     signature link; a universal region leaves the question open.
     """
-    if has_universal_region(seed, rot):
+    if has_universal_region(seed):
         return SCREEN_INCONCLUSIVE
     return SCREEN_NOT_SIGNATURE
 

@@ -41,8 +41,8 @@ EXIT_CAP = 3
 
 
 def _read_graph(path: str) -> tuple[PaintedGraph, Rotation | None]:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_graph(text)
+    data = sys.stdin.read() if path == "-" else Path(path).read_bytes()
+    return parse_graph(data)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -90,13 +90,13 @@ def cmd_aut(args: argparse.Namespace) -> int:
 def _corpus_row(f: Path) -> dict | None:
     """A corpus file's report row, an error row when it does not parse, or
     None for JSON in another format (such as a family's index.json)."""
-    text = f.read_text()
+    data = f.read_bytes()
     try:
-        g, _rot = parse_graph(text)
+        g, _rot = parse_graph(data)
     except GraphFormatError as exc:
         try:
-            fmt = json.loads(text).get("format")
-        except (ValueError, AttributeError):
+            fmt = json.loads(data).get("format")
+        except (ValueError, RecursionError, AttributeError):
             fmt = None
         if isinstance(fmt, str) and fmt != GRAPH_FORMAT:
             return None
@@ -195,8 +195,8 @@ def cmd_family(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     from .render import to_dot, to_svg
 
-    g, rot = _read_graph(args.graph)
-    text = to_dot(g) if args.dot else to_svg(g, rot)
+    g, _rot = _read_graph(args.graph)
+    text = to_dot(g) if args.dot else to_svg(g)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -21,8 +21,8 @@ from .classify import (
     signature_screen,
     validate_crushtacean,
 )
-from .errors import CatalogMissError
-from .graphs import Edge, PaintedGraph, Rotation, _canon_row, embedding_of, faces, painted_graph
+from .errors import CatalogMissError, PreconditionError
+from .graphs import Edge, PaintedGraph, Rotation, _canon_row, painted_graph
 from .groups import GroupId, identify
 
 # ---------------------------------------------------------------------------
@@ -178,22 +178,20 @@ def seed_catalog(target: GroupId) -> list[tuple[str, PaintedGraph]]:
 # ---------------------------------------------------------------------------
 
 
-def cycle_expand(
-    g: PaintedGraph, rot: Rotation | None = None
-) -> tuple[PaintedGraph, Rotation]:
+def cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, Rotation]:
     """Blow each vertex up into a cycle following its rotation; images of
     the original edges are painted.
 
     Each edge-end of the input becomes a vertex of the output, joined to
     its two rotation neighbours around the same input vertex and, by a
     painted edge, to the opposite end of the same input edge.  The output
-    rotation is checked to be a sphere embedding and rides on the output
-    graph.  Input painting, if any, is ignored.  Requires a 3-connected
-    planar input and raises PreconditionError otherwise: smaller degrees
-    would create loops or parallel edges, and a 2-vertex cut would leave
-    2-edge cuts.
+    rotation rides on the output graph, whose embedding is built and
+    checked to be 3-connected before it is returned.  Input painting, if
+    any, is ignored.  Requires a 3-connected planar input and raises
+    PreconditionError otherwise: smaller degrees would create loops or
+    parallel edges, and a 2-vertex cut would leave 2-edge cuts.
     """
-    rot = embedding_of(g, rot).rotation
+    rot = g.embedding.rotation
     idx: dict[tuple[int, int], int] = {}
     for v in range(g.vertex_count):
         for e in rot[v]:
@@ -226,10 +224,12 @@ def cycle_expand(
             cn = out.edge_index[norm(xv, idx[(v, row[(i + 1) % d])])]
             cp = out.edge_index[norm(xv, idx[(v, row[(i - 1) % d])])]
             rows.append(_canon_row((pe, cn, cp)))
-    rot_out = tuple(rows)
-    if len(faces(out, rot_out)) != out.edge_count - out.vertex_count + 2:
-        raise RuntimeError("expansion rotation is not a sphere embedding")
-    return replace(out, rotation=rot_out), rot_out
+    out = replace(out, rotation=tuple(rows))
+    try:
+        out.embedding
+    except PreconditionError as exc:
+        raise RuntimeError(f"expansion is not a 3-connected embedding: {exc}") from exc
+    return out, out.rotation
 
 
 # ---------------------------------------------------------------------------

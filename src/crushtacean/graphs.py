@@ -160,32 +160,10 @@ def relabel(g: PaintedGraph, perm: Sequence[int]) -> PaintedGraph:
 class StructReport:
     vertex_count: int
     edge_count: int
-    simple: bool
     connected: bool
     cubic: bool
     degree_min: int
     degree_max: int
-
-
-def _is_connected(adj: Sequence[Sequence[int]], alive: Sequence[bool]) -> bool:
-    start = -1
-    total = 0
-    for v, ok in enumerate(alive):
-        if ok:
-            total += 1
-            if start < 0:
-                start = v
-    if total <= 1:
-        return True
-    stack = [start]
-    seen = {start}
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if alive[w] and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == total
 
 
 def _component_count(g: PaintedGraph) -> int:
@@ -206,103 +184,16 @@ def _component_count(g: PaintedGraph) -> int:
 
 
 def validate_basic(g: PaintedGraph) -> StructReport:
-    """Report simple/connected/cubic structure.  Never raises."""
+    """Report connected/cubic structure.  Never raises."""
     degs = [g.degree(v) for v in range(g.vertex_count)]
     return StructReport(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
-        simple=True,  # the factory rejects loops and duplicate edges
-        connected=_is_connected(g.adjacency, [True] * g.vertex_count),
+        connected=_component_count(g) == 1,
         cubic=all(d == 3 for d in degs),
         degree_min=min(degs),
         degree_max=max(degs),
     )
-
-
-def _has_bridge(g: PaintedGraph, skip: frozenset[int]) -> bool:
-    """Iterative bridge detection on the graph minus the ``skip`` edges.
-
-    Returns True if the surviving graph is disconnected or has a bridge.
-    """
-    n = g.vertex_count
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(g.edges):
-        if i in skip:
-            continue
-        nbrs[u].append((v, i))
-        nbrs[v].append((u, i))
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    # DFS from vertex 0; stack holds (vertex, parent_edge, iterator index).
-    stack: list[list[int]] = [[0, -1, 0]]
-    disc[0] = low[0] = timer
-    timer += 1
-    visited = 1
-    while stack:
-        frame = stack[-1]
-        v, pedge, it = frame
-        if it < len(nbrs[v]):
-            frame[2] += 1
-            w, eidx = nbrs[v][it]
-            if eidx == pedge:
-                continue
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                visited += 1
-                stack.append([w, eidx, 0])
-            else:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if low[v] > disc[parent]:
-                    return True  # the edge into v is a bridge
-    return visited != n
-
-
-def is_k_connected(g: PaintedGraph, k: int) -> bool:
-    """Vertex k-connectivity for k in {1, 2, 3}.
-
-    Non-cubic inputs use exhaustive removal of vertex subsets of size < k
-    (instances are desk scale).  Cubic inputs with k = 3 use the classical
-    equivalence of vertex and edge connectivity for cubic graphs and test
-    3-edge-connectivity by bridge sweeps, which stays fast on the large
-    iterated-expansion members.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    if g.vertex_count <= k:
-        raise PreconditionError(f"need more than {k} vertices")
-    adj = g.adjacency
-    if not _is_connected(adj, [True] * g.vertex_count):
-        return False
-    if k == 1:
-        return True
-    cubic = all(g.degree(v) == 3 for v in range(g.vertex_count))
-    if k == 3 and cubic:
-        if _has_bridge(g, frozenset()):
-            return False
-        return not any(_has_bridge(g, frozenset((i,))) for i in range(g.edge_count))
-    alive = [True] * g.vertex_count
-    for a in range(g.vertex_count):
-        alive[a] = False
-        if k == 2:
-            if not _is_connected(adj, alive):
-                return False
-        else:
-            for b in range(a + 1, g.vertex_count):
-                alive[b] = False
-                if not _is_connected(adj, alive):
-                    return False
-                alive[b] = True
-        alive[a] = True
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +218,7 @@ def planar_embed(g: PaintedGraph) -> Rotation:
     """
     import networkx as nx  # the only networkx use; inputs with a rotation never load it
 
-    if not _is_connected(g.adjacency, [True] * g.vertex_count):
+    if _component_count(g) != 1:
         raise PreconditionError("planar_embed requires a connected graph")
     G = nx.Graph()
     G.add_nodes_from(range(g.vertex_count))
@@ -458,14 +349,6 @@ class Embedding:
         return _dual(self.graph, self.faces)
 
 
-def embedding_of(g: PaintedGraph, rot: Rotation | None = None) -> Embedding:
-    """g's cached embedding, or the one an explicitly given rot describes
-    (checked the same way)."""
-    if rot is None or rot == g.rotation:
-        return g.embedding
-    return replace(g, rotation=rot).embedding
-
-
 def dual(g: PaintedGraph, rot: Rotation) -> tuple[PaintedGraph, tuple[int, ...]]:
     """Planar dual plus edge correspondence.
 
@@ -522,7 +405,7 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
     """Parse painted-graph/1 JSON.  Raises GraphFormatError on any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level JSON value must be an object")
@@ -532,7 +415,7 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
         n = int(doc["vertices"])
         raw_edges = [(int(e[0]), int(e[1])) for e in doc["edges"]]
         raw_painted = [int(i) for i in doc["painted"]]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:  # int(Infinity)
         raise GraphFormatError(f"malformed field: {exc}") from exc
     for i in raw_painted:
         if not (0 <= i < len(raw_edges)):
@@ -543,7 +426,7 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
     if "rotation" in doc and doc["rotation"] is not None:
         try:
             rows = [tuple(int(i) for i in row) for row in doc["rotation"]]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"malformed rotation: {exc}") from exc
         # rotation rows refer to the caller's edge order; remap to canonical
         remap = {i: g.edge_index[e if e[0] < e[1] else (e[1], e[0])] for i, e in enumerate(raw_edges)}

@@ -11,15 +11,18 @@ import math
 
 import numpy as np
 
-from .graphs import PaintedGraph, Rotation, embedding_of
+from .graphs import PaintedGraph
 
 Point = tuple[float, float]
 
+SVG_SIZE = 640  # width and height of the drawing, in pixels
+SVG_MARGIN = 40  # blank border around the layout, in pixels
 
-def tutte_layout(g: PaintedGraph, rot: Rotation | None = None) -> list[Point]:
+
+def tutte_layout(g: PaintedGraph) -> list[Point]:
     """Coordinates per vertex, outer face on the unit circle.  Raises
     NonplanarError or PreconditionError unless g is planar and 3-connected."""
-    fs = embedding_of(g, rot).faces
+    fs = g.embedding.faces
     sizes = fs.face_sizes()
     outer = max(range(len(sizes)), key=lambda f: (sizes[f], -f))
     boundary = [tail for tail, _head, _e in fs.faces[outer]]  # a cycle: g is 3-connected
@@ -48,31 +51,25 @@ def tutte_layout(g: PaintedGraph, rot: Rotation | None = None) -> list[Point]:
     return [pos[v] for v in range(g.vertex_count)]
 
 
-def to_svg(
-    g: PaintedGraph,
-    rot: Rotation | None = None,
-    *,
-    size: int = 640,
-    margin: int = 40,
-) -> str:
+def to_svg(g: PaintedGraph) -> str:
     """SVG 1.1 drawing; painted edges get a distinct heavy stroke."""
-    layout = tutte_layout(g, rot)
+    layout = tutte_layout(g)
     xs = [p[0] for p in layout]
     ys = [p[1] for p in layout]
     span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
-    scale = (size - 2 * margin) / span
+    scale = (SVG_SIZE - 2 * SVG_MARGIN) / span
 
     def sx(p: Point) -> float:
-        return margin + (p[0] - min(xs)) * scale
+        return SVG_MARGIN + (p[0] - min(xs)) * scale
 
     def sy(p: Point) -> float:
-        return margin + (p[1] - min(ys)) * scale
+        return SVG_MARGIN + (p[1] - min(ys)) * scale
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     for e, (u, v) in enumerate(g.edges):
         x1, y1 = sx(layout[u]), sy(layout[u])

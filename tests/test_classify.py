@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,6 @@ from crushtacean import (
     classify_bprime,
     cycle_expand,
     detect_reflection_multiplicity,
-    faces,
     has_universal_region,
     knot_circles,
     nerve_check,
@@ -127,7 +127,7 @@ def test_nerve_check_on_valid_graphs(rng):
 def test_nerve_check_reads_any_sphere_rotation(rng):
     for _ in range(5):
         g = random_crushtacean(rng, rng.randrange(0, 8))
-        rep = nerve_check(g, mirror(planar_embed(g)))
+        rep = nerve_check(replace(g, rotation=mirror(planar_embed(g))))
         assert rep.is_triangulation and rep.one_painted_per_triangle
     # painting two edges at a vertex leaves that dual triangle crossing two
     g = painted_graph(4, K4_EDGES, [(0, 1), (0, 2), (1, 3)])
@@ -182,9 +182,8 @@ def test_knot_circle_bookkeeping(rng):
 
 def test_expansion_knot_circles_are_seed_faces(rng):
     for seed in [wheel(5), prism(4), random_cubic_planar(rng, 6)]:
-        rot = planar_embed(seed)
-        face_count = len(faces(seed, rot).faces)
-        ex, _ = cycle_expand(seed, rot)
+        face_count = len(seed.embedding.faces)
+        ex, _ = cycle_expand(seed)
         ks = knot_circles(ex)
         assert ks.knot_circle_count == face_count
         assert ks.crossing_circle_count == seed.edge_count

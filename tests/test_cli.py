@@ -13,6 +13,8 @@ from crushtacean.families import gamma_borromean, gamma_pretzel, prism, wheel
 from helpers import hung_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEEP = "[" * 100000 + "]" * 100000  # nested deeper than the JSON decoder can recurse
+NOT_UTF8 = b"\x80{}"
 
 
 def run(capsys, *argv):
@@ -51,6 +53,16 @@ def test_validate_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("data", [DEEP.encode(), NOT_UTF8], ids=["deep", "not_utf8"])
+def test_undecodable_document_exits_two(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    for argv in (["validate"], ["aut"], ["classify"], ["expand"], ["render"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON") and err.count("\n") == 1
 
 
 def test_missing_file_exit_code(capsys):
@@ -142,11 +154,14 @@ def test_classify_directory_error_row(tmp_path, capsys):
     write_graph(corpus, "a_borromean.json", gamma_borromean())
     text = serialize_graph(gamma_pretzel(4))
     (corpus / "b_truncated.json").write_text(text[: len(text) // 2])
+    (corpus / "c_not_utf8.json").write_bytes(NOT_UTF8)
+    (corpus / "d_deep.json").write_text(DEEP)
     code, out, _ = run(capsys, "classify", str(corpus))
     assert code == 2
-    good, bad = json.loads(out)
+    good, *bad = json.loads(out)
     assert good["report"]["crushtacean_valid"] is True
-    assert set(bad) == {"file", "error"} and bad["file"] == "b_truncated.json"
+    assert [row["file"] for row in bad] == ["b_truncated.json", "c_not_utf8.json", "d_deep.json"]
+    assert all(set(row) == {"file", "error"} for row in bad)
 
 
 def test_classify_with_rotations_never_loads_networkx(tmp_path):

@@ -8,10 +8,11 @@ reproducible.
 """
 
 import json
+import random
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crushtacean import (
@@ -51,6 +52,11 @@ RNG = st.randoms(use_true_random=False)
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 # two K4s sharing vertex 3: planar with a simple dual, but only 1-connected
 TWO_K4 = painted_graph(7, K4_EDGES + [(u + 3, v + 3) for u, v in K4_EDGES])
+SMALL = {
+    "k4": painted_graph(4, K4_EDGES),
+    "4-cycle": painted_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "path": painted_graph(4, [(0, 1), (1, 2), (2, 3)]),
+}
 
 
 def shuffled(rng, n):
@@ -106,8 +112,13 @@ def test_graphs_that_are_not_3_connected_raise(rng, left, right):
     size=st.integers(0, 12),
     deletions=st.integers(0, 3),
 )
+@example(rng=random.Random(0), kind="k4", size=0, deletions=0)
+@example(rng=random.Random(0), kind="4-cycle", size=0, deletions=0)
+@example(rng=random.Random(0), kind="path", size=0, deletions=0)
 def test_3_connectivity_agrees_with_flow_oracle(rng, kind, size, deletions):
-    if kind == "triangulation":
+    if kind in SMALL:
+        g = SMALL[kind]
+    elif kind == "triangulation":
         g = random_triangulation(rng, size)
     else:
         g = random_cubic_planar(rng, size)

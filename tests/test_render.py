@@ -1,6 +1,5 @@
 import xml.etree.ElementTree as ET
 
-from crushtacean import planar_embed
 from crushtacean.families import cube, dodecahedron, gamma_borromean, gamma_pretzel, wheel
 from crushtacean.render import to_dot, to_svg, tutte_layout
 from helpers import random_crushtacean
@@ -23,11 +22,8 @@ def segments_cross(p1, p2, p3, p4, eps=1e-9):
 
 def test_layout_is_barycentric():
     g = cube()
-    rot = planar_embed(g)
-    layout = tutte_layout(g, rot)
-    from crushtacean import faces
-
-    fs = faces(g, rot)
+    layout = tutte_layout(g)
+    fs = g.embedding.faces
     sizes = fs.face_sizes()
     outer = max(range(len(sizes)), key=lambda f: (sizes[f], -f))
     boundary = {d[0] for d in fs.faces[outer]}
