@@ -124,6 +124,8 @@ def painted_graph(
         norm.append((u, v) if u < v else (v, u))
     if len(set(norm)) != len(norm):
         raise GraphFormatError("duplicate edge")
+    if vertex_count > 2 * len(norm):  # checked before anything of size vertex_count is allocated
+        raise GraphFormatError(f"isolated vertex: {vertex_count} vertices, {len(norm)} edges")
     norm.sort()
     index = {e: i for i, e in enumerate(norm)}
     seen = [False] * vertex_count

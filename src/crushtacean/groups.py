@@ -1,10 +1,12 @@
 """Finite permutation groups, abstract-type signatures, and identification.
 
 Groups are stored as explicit element lists (desk scale, closure capped).
-Identification works against the catalog of abstract isomorphism types of
-finite subgroups of the 3-sphere's rotation group: cyclic, dihedral, those
-times Z2, the Klein group, and the five exceptional types built from the
-tetrahedral, octahedral and icosahedral rotation groups.
+Inside this module products compose bare image tuples; a Permutation, and
+so its bijection check, is built once per group element.  Identification
+works against the catalog of abstract isomorphism types of the finite
+subgroups of O(3): cyclic, dihedral, those times Z2, the Klein group, and
+the six exceptional types built from the tetrahedral, octahedral and
+icosahedral rotation groups.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError
 
@@ -88,8 +90,38 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements)
+
+Image = tuple[int, ...]
+
+
+def _mul(p: Image, q: Image) -> Image:
+    """Composition of image tuples: (p * q)(x) = p(q(x))."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _closure(
+    degree: int,
+    left: Collection[Image],
+    conj: Sequence[tuple[Image, Image]] = (),
+    cap: int = DEFAULT_CAP,
+) -> set[Image]:
+    """Image tuples reached from the identity (BFS with element cap) by
+    multiplying on the left by an element of ``left`` or mapping x to
+    g^-1 x g for a pair (g^-1, g) in ``conj``."""
+    ident = tuple(range(degree))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt: list[Image] = []
+        for x in frontier:
+            for y in [_mul(a, x) for a in left] + [_mul(gi, _mul(x, g)) for gi, g in conj]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    if len(seen) > cap:
+                        raise CapExceededError(f"group closure exceeded cap of {cap} elements")
+        frontier = nxt
+    return seen
 
 
 def close(
@@ -104,22 +136,8 @@ def close(
     for p in gens:
         if p.degree != degree:
             raise ValueError("mixed degrees in generator list")
-    ident = Permutation.identity(degree)
-    elements = {ident.image: ident}
-    frontier = [ident]
-    while frontier:
-        nxt: list[Permutation] = []
-        for x in frontier:
-            for gen in gens:
-                y = gen * x
-                if y.image not in elements:
-                    elements[y.image] = y
-                    nxt.append(y)
-                    if len(elements) > cap:
-                        raise CapExceededError(f"group closure exceeded cap of {cap} elements")
-        frontier = nxt
-    ordered = tuple(elements[key] for key in sorted(elements))
-    return PermGroup(degree, gens, ordered)
+    elements = _closure(degree, [p.image for p in gens], cap=cap)
+    return PermGroup(degree, gens, tuple(Permutation(x) for x in sorted(elements)))
 
 
 def from_elements(elements: Iterable[Permutation], degree: int) -> PermGroup:
@@ -130,13 +148,13 @@ def from_elements(elements: Iterable[Permutation], degree: int) -> PermGroup:
     """
     ordered = tuple(sorted(elements))
     gens: list[Permutation] = []
-    span = {Permutation.identity(degree)}
+    span = {tuple(range(degree))}
     for p in ordered:
         if len(span) == len(ordered):
             break
-        if p not in span:
+        if p.image not in span:
             gens.append(p)
-            span = set(close(gens, degree).elements)
+            span = _closure(degree, [q.image for q in gens])
     return PermGroup(degree, tuple(gens), ordered)
 
 
@@ -151,46 +169,25 @@ class GroupSignature(NamedTuple):
 
 
 def signature(g: PermGroup) -> GroupSignature:
-    gens = g.generators if g.generators else (Permutation.identity(g.degree),)
-    abelian = all(a * b == b * a for a in gens for b in gens)
+    gens = [p.image for p in g.generators]
     hist = Counter(p.order() for p in g.elements)
-    center = sum(1 for p in g.elements if all(p * q == q * p for q in gens))
-    derived = _derived_order(g)
+    center = sum(1 for p in g.elements if all(_mul(p.image, q) == _mul(q, p.image) for q in gens))
     return GroupSignature(
         order=g.order,
-        abelian=abelian,
+        abelian=center == g.order,
         order_histogram=tuple(sorted(hist.items())),
         center_order=center,
-        derived_order=derived,
+        derived_order=_derived_order(g.degree, gens),
     )
 
 
-def _derived_order(g: PermGroup) -> int:
-    """Order of the derived subgroup (normal closure of generator commutators)."""
-    gens = g.generators
-    seed = set()
-    for a in gens:
-        for b in gens:
-            c = a * b * a.inverse() * b.inverse()
-            seed.add(c.image)
-    sub = {Permutation.identity(g.degree).image}
-    work = [Permutation(s) for s in seed if s not in sub]
-    sub.update(s for s in seed)
-    while work:
-        x = work.pop()
-        new: list[Permutation] = []
-        for s in list(sub):
-            y = x * Permutation(s)
-            if y.image not in sub:
-                new.append(y)
-        for gen in gens:
-            y = gen.inverse() * x * gen
-            if y.image not in sub:
-                new.append(y)
-        for y in new:
-            sub.add(y.image)
-            work.append(y)
-    return len(sub)
+def _derived_order(degree: int, gens: list[Image]) -> int:
+    """Order of the derived subgroup: the normal closure of the generators'
+    commutators, as the elements reached from the identity by multiplying
+    by a commutator or conjugating by a generator."""
+    pairs = [(Permutation(a).inverse().image, a) for a in gens]
+    commutators = {_mul(_mul(a, b), _mul(ai, bi)) for ai, a in pairs for bi, b in pairs}
+    return len(_closure(degree, commutators, pairs))
 
 
 # ---------------------------------------------------------------------------

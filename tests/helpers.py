@@ -157,6 +157,13 @@ def perm_compose(p: tuple, q: tuple) -> tuple:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
+def perm_inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
 def perm_order(p: tuple) -> int:
     ident = tuple(range(len(p)))
     k, cur = 1, p

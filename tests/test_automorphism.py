@@ -7,8 +7,17 @@ from crushtacean import (
     painted_graph,
     relabel,
 )
-from crushtacean.families import gamma_borromean, gamma_ochain, gamma_pretzel, prism, wheel
-from helpers import brute_automorphism_count, random_crushtacean, random_triangulation
+from crushtacean.families import (
+    cube,
+    cycle_expand,
+    dodecahedron,
+    gamma_borromean,
+    gamma_ochain,
+    gamma_pretzel,
+    prism,
+    wheel,
+)
+from helpers import brute_automorphism_count, close_tuples, random_crushtacean, random_triangulation
 
 
 def is_automorphism(g, p):
@@ -82,6 +91,33 @@ def test_generators_deterministic():
     b = automorphisms(g, respect_painting=True)
     assert a.generators == b.generators
     assert a.elements == b.elements
+
+
+GREEDY_CASES = {
+    "borromean": gamma_borromean,  # the painting cuts S4 down to D4
+    "dodecahedron": dodecahedron,
+    "cube": cube,
+    "prism7": lambda: prism(7),
+    "pretzel6": lambda: gamma_pretzel(6),
+    "ochain4": lambda: gamma_ochain(4),
+    "wheel5_expanded": lambda: cycle_expand(wheel(5))[0],
+}
+
+
+@pytest.mark.parametrize("painted", [False, True], ids=["unpainted", "painted"])
+@pytest.mark.parametrize("name", sorted(GREEDY_CASES))
+def test_generators_are_the_greedy_choice(name, painted):
+    """The generators `aut` prints: each element, in sorted order, that the
+    ones chosen before it do not generate."""
+    grp = automorphisms(GREEDY_CASES[name](), respect_painting=painted)
+    greedy: list[tuple] = []
+    span = {tuple(range(grp.degree))}
+    for x in sorted(p.image for p in grp.elements):
+        if x not in span:
+            greedy.append(x)
+            span = close_tuples(greedy)
+    assert len(span) == grp.order
+    assert [p.image for p in grp.generators] == greedy
 
 
 def test_find_isomorphism_roundtrip(rng):

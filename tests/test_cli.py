@@ -65,6 +65,17 @@ def test_undecodable_document_exits_two(tmp_path, capsys, data):
         assert err.startswith("error: not valid JSON") and err.count("\n") == 1
 
 
+def test_huge_vertex_count_exits_two(tmp_path, capsys):
+    doc = json.loads(serialize_graph(gamma_borromean()))
+    doc["vertices"] = 2**62  # rejected before a list of that many entries is asked for
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["aut"], ["classify"], ["expand"], ["render"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: isolated vertex") and err.count("\n") == 1
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nope.json")
     assert code == 2

@@ -117,6 +117,8 @@ def test_serialize_with_rotation_round_trips():
         lambda d: d["rotation"][0].reverse(),  # K4 on the torus
         lambda d: d.update(vertices=float("inf")),  # JSON Infinity
         lambda d: d["rotation"][0].append(float("inf")),
+        lambda d: d.update(vertices=2**62),  # more vertices than 2 per edge: rejected unallocated
+        lambda d: d.update(vertices=2**64),
     ],
 )
 def test_parse_rejects_mangled_documents(mangle):

@@ -2,10 +2,12 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from crushtacean import CapExceededError, GroupId, Permutation, close, identify, signature
 from crushtacean.groups import candidate_tags, realize
-from helpers import abstract_isomorphic, close_tuples, perm_compose, perm_order
+from helpers import abstract_isomorphic, close_tuples, perm_compose, perm_inverse, perm_order
 
 
 def test_permutation_algebra():
@@ -63,6 +65,33 @@ def test_d4_signature_against_explicit_square_symmetries():
     assert sig.order_histogram == ((1, 1), (2, 5), (4, 2))
     assert sig.center_order == 2
     assert sig.derived_order == 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 7).flatmap(lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)))
+@example([(1, 2, 3, 0), (3, 2, 1, 0)])  # D4: a non-abelian group whose centre has index 4
+@example([(1, 2, 3, 0, 4, 5), (3, 2, 1, 0, 4, 5), (0, 1, 2, 3, 5, 4)])  # D4xZ2
+@example([(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)])  # S4xZ2
+def test_signature_matches_brute_force(gens):
+    """Every signature field against all-pairs oracles: the centre from
+    every pair, the derived subgroup as the group generated by the
+    commutators of every pair (not the normal closure of the generators'
+    commutators that signature() computes)."""
+    gens = [tuple(p) for p in gens]
+    elems = close_tuples(gens)
+    assume(len(elems) <= 120)  # the oracles take |G|^2 products
+    commute = {(a, b): perm_compose(a, b) == perm_compose(b, a) for a in elems for b in elems}
+    inv = {a: perm_inverse(a) for a in elems}
+    commutators = {
+        perm_compose(perm_compose(a, b), perm_compose(inv[a], inv[b])) for a in elems for b in elems
+    }
+
+    sig = signature(close([Permutation(p) for p in gens]))
+    assert sig.order == len(elems)
+    assert sig.abelian == all(commute.values())
+    assert sig.order_histogram == tuple(sorted(Counter(map(perm_order, elems)).items()))
+    assert sig.center_order == sum(all(commute[a, b] for b in elems) for a in elems)
+    assert sig.derived_order == len(close_tuples(sorted(commutators)))
 
 
 def test_group_id_canonical_folds():
