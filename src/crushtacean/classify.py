@@ -50,6 +50,9 @@ class CrushtaceanReport:
     reasons: tuple[str, ...]
 
 
+_VERDICT = "_crushtacean_verdict"  # where validate_crushtacean leaves its verdict in vars(g)
+
+
 def _matching_ok(g: PaintedGraph) -> bool:
     ends: set[int] = set()
     for u, v in g.painted_pairs():
@@ -61,7 +64,11 @@ def _matching_ok(g: PaintedGraph) -> bool:
 
 
 def validate_crushtacean(g: PaintedGraph) -> CrushtaceanReport:
-    """Full admission check; returns a verdict with machine-stable reasons."""
+    """Full admission check; returns a verdict with machine-stable reasons.
+
+    The verdict is kept on g, as its embedding is, so the stages of a
+    report that require a valid graph read it instead of checking again.
+    """
     reasons: list[str] = []
     struct = validate_basic(g)
     if struct.vertex_count < 4:
@@ -79,11 +86,12 @@ def validate_crushtacean(g: PaintedGraph) -> CrushtaceanReport:
             reasons.append("not_3_connected")
     if not _matching_ok(g):
         reasons.append("painted_not_perfect_matching")
-    return CrushtaceanReport(valid=not reasons, reasons=tuple(reasons))
+    report = vars(g)[_VERDICT] = CrushtaceanReport(valid=not reasons, reasons=tuple(reasons))
+    return report
 
 
 def _require_valid(g: PaintedGraph) -> None:
-    report = validate_crushtacean(g)
+    report = vars(g).get(_VERDICT) or validate_crushtacean(g)
     if not report.valid:
         raise PreconditionError(f"not a valid crushtacean: {', '.join(report.reasons)}")
 

@@ -214,24 +214,258 @@ def _canon_row(row: Sequence[int]) -> tuple[int, ...]:
 def planar_embed(g: PaintedGraph) -> Rotation:
     """Planarity test returning a rotation system, not just a boolean.
 
-    Raises NonplanarError for non-planar input.  The embedding comes from
-    the left-right planarity algorithm; rows are reduced to canonical
-    cyclic form so equal graphs embed identically run to run.
+    Brandes' left-right planarity test (2009), run step for step as
+    networkx's ``check_planarity`` runs it, so the rows equal the ones
+    networkx gives; rows are reduced to canonical cyclic form so equal
+    graphs embed identically run to run.  Raises PreconditionError for a
+    disconnected graph and NonplanarError for a non-planar one.
     """
-    import networkx as nx  # the only networkx use; inputs with a rotation never load it
-
     if _component_count(g) != 1:
         raise PreconditionError("planar_embed requires a connected graph")
-    G = nx.Graph()
-    G.add_nodes_from(range(g.vertex_count))
-    G.add_edges_from(g.edges)
-    ok, emb = nx.check_planarity(G, counterexample=False)
-    if not ok:
+    rot = _left_right_rotation(g)
+    if rot is None:
         raise NonplanarError("graph is not planar")
-    data, idx = emb.get_data(), g.edge_index
-    return tuple(
-        _canon_row([idx[(min(v, w), max(v, w))] for w in data[v]]) for v in range(g.vertex_count)
-    )
+    return rot
+
+
+def _left_right_rotation(g: PaintedGraph) -> Rotation | None:
+    """The left-right planarity test on edge indices; None if g is not planar.
+
+    Three passes over a DFS from vertex 0, each an explicit stack, so deep
+    graphs cannot overflow the interpreter's recursion limit:
+
+    1. orientation: tree and back edges, lowpoints and nesting depths;
+    2. testing: conflict pairs of intervals [low, high] of return edges,
+       each edge given a side relative to a reference edge;
+    3. embedding: sides made absolute, out-edges sorted by signed nesting
+       depth, back edges inserted next to the left or right reference.
+
+    Neighbours are visited in ascending order (``g.incident`` is ascending
+    in the far end too) and every sort is stable, as in networkx.
+    """
+    n, m, edges, incident = g.vertex_count, g.edge_count, g.edges, g.incident
+    if n > 2 and m > 3 * n - 6:
+        return None
+
+    # 1. orientation
+    height: list[int | None] = [None] * n
+    parent: list[int | None] = [None] * n  # tree edge into each vertex
+    tail: list[int | None] = [None] * m  # edge e runs tail[e] -> head[e] once oriented
+    head = [0] * m
+    lowpt, lowpt2, nesting = [0] * m, [0] * m, [0] * m
+    out: list[list[int]] = [[] for _ in range(n)]  # out-edges in the order oriented
+    pos = [0] * n
+    height[0] = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        e, row, i = parent[v], incident[v], pos[v]
+        while i < len(row):
+            vw = row[i]
+            if tail[vw] is None:
+                tail[vw] = v
+                w = head[vw] = edges[vw][0] + edges[vw][1] - v
+                out[v].append(vw)
+                lowpt[vw] = lowpt2[vw] = height[v]
+                if height[w] is None:  # tree edge: visit w, then come back to vw
+                    parent[w] = vw
+                    height[w] = height[v] + 1
+                    stack += (v, w)
+                    break
+                lowpt[vw] = height[w]  # back edge
+            elif tail[vw] != v:  # oriented from the other end
+                i += 1
+                continue
+            # vw is a back edge, or a tree edge whose subtree is done
+            nesting[vw] = 2 * lowpt[vw] + (lowpt2[vw] < height[v])
+            if e is not None:
+                if lowpt[vw] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                    lowpt[e] = lowpt[vw]
+                elif lowpt[vw] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[vw])
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+            i += 1
+        pos[v] = i
+
+    # 2. testing; a conflict pair is [left.low, left.high, right.low, right.high]
+    ordered = [sorted(row, key=nesting.__getitem__) for row in out]
+    ref: list[int | None] = [None] * m
+    side = [1] * m
+    lowpt_edge: list[int | None] = [None] * m
+    bottom: list[list | None] = [None] * m  # top of the conflict stack when an edge starts
+    conflicts: list[list] = []
+
+    def conflicting(low: int | None, high: int | None, b: int) -> bool:
+        return (low is not None or high is not None) and lowpt[high] > lowpt[b]
+
+    def lowest(p: list) -> int:
+        if p[0] is None and p[1] is None:
+            return lowpt[p[2]]
+        if p[2] is None and p[3] is None:
+            return lowpt[p[0]]
+        return min(lowpt[p[0]], lowpt[p[2]])
+
+    def add_constraints(ei: int, e: int) -> bool:
+        p: list = [None, None, None, None]
+        while True:  # merge the return edges of ei into p's right interval
+            q = conflicts.pop()
+            if q[0] is not None or q[1] is not None:
+                q[:] = q[2], q[3], q[0], q[1]
+            if q[0] is not None or q[1] is not None:
+                return False
+            if lowpt[q[2]] > lowpt[e]:
+                if p[2] is None and p[3] is None:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:  # align
+                ref[q[2]] = lowpt_edge[e]
+            if (conflicts[-1] if conflicts else None) is bottom[ei]:
+                break
+        # merge the conflicting return edges of ei's earlier siblings into p's left
+        while conflicts and (
+            conflicting(conflicts[-1][0], conflicts[-1][1], ei)
+            or conflicting(conflicts[-1][2], conflicts[-1][3], ei)
+        ):
+            q = conflicts.pop()
+            if conflicting(q[2], q[3], ei):
+                q[:] = q[2], q[3], q[0], q[1]
+            if conflicting(q[2], q[3], ei):
+                return False
+            if p[2] is not None:
+                ref[p[2]] = q[3]
+            if q[2] is not None:
+                p[2] = q[2]
+            if p[0] is None and p[1] is None:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if any(x is not None for x in p):
+            conflicts.append(p)
+        return True
+
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
+        while conflicts and lowest(conflicts[-1]) == height[u]:  # drop whole pairs
+            p = conflicts.pop()
+            if p[0] is not None:
+                side[p[0]] = -1
+        if conflicts:  # trim the back edges ending at u from one more pair
+            p = conflicts[-1]
+            while p[1] is not None and head[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] is None and p[0] is not None:
+                ref[p[0]] = p[2]
+                side[p[0]] = -1
+                p[0] = None
+            while p[3] is not None and head[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] is None and p[2] is not None:
+                ref[p[2]] = p[0]
+                side[p[2]] = -1
+                p[2] = None
+        if lowpt[e] < height[u]:  # e takes the side of a highest return edge
+            hl, hr = conflicts[-1][1], conflicts[-1][3]
+            ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+
+    pos = [0] * n
+    entered = [False] * m  # tree edges whose subtree has been started
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        e, row, i = parent[v], ordered[v], pos[v]
+        while i < len(row):
+            ei = row[i]
+            if not entered[ei]:
+                bottom[ei] = conflicts[-1] if conflicts else None
+                if ei == parent[head[ei]]:
+                    entered[ei] = True
+                    stack += (v, head[ei])
+                    break
+                lowpt_edge[ei] = ei
+                conflicts.append([None, None, ei, ei])
+            if lowpt[ei] < height[v]:  # integrate the new return edges
+                if i == 0:
+                    lowpt_edge[e] = lowpt_edge[ei]
+                elif not add_constraints(ei, e):
+                    return None
+            i += 1
+        else:
+            if e is not None:
+                remove_back_edges(e)
+        pos[v] = i
+
+    # 3. embedding
+    for start in range(m):  # resolve each side along its chain of references
+        chain, e = [], start
+        while ref[e] is not None:
+            chain.append(e)
+            e = ref[e]
+        for x in reversed(chain):
+            side[x] *= side[ref[x]]
+            ref[x] = None
+    signed = [side[e] * nesting[e] for e in range(m)]
+    # a dart is edge e at one of its ends: 2e at edges[e][0], 2e + 1 at edges[e][1];
+    # each vertex's darts form a ring under cw/ccw, read from its leftmost dart
+    cw, ccw, leftmost = [0] * (2 * m), [0] * (2 * m), [-1] * n
+
+    def dart(e: int, v: int) -> int:
+        return 2 * e + (v != edges[e][0])
+
+    def insert_before(v: int, d: int, ref_dart: int) -> None:  # ccw of ref_dart
+        prev = ccw[ref_dart]
+        cw[d], ccw[d], cw[prev], ccw[ref_dart] = ref_dart, prev, d, d
+        if ref_dart == leftmost[v]:
+            leftmost[v] = d
+
+    def insert_after(d: int, ref_dart: int) -> None:  # cw of ref_dart
+        nxt = cw[ref_dart]
+        cw[d], ccw[d], ccw[nxt], cw[ref_dart] = nxt, ref_dart, d, d
+
+    for v in range(n):
+        ordered[v] = sorted(out[v], key=signed.__getitem__)
+        ring = [dart(e, v) for e in ordered[v]]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            cw[a], ccw[b] = b, a
+        if ring:
+            leftmost[v] = ring[0]
+    left_ref, right_ref = [0] * n, [0] * n
+    pos = [0] * n
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        row = ordered[v]
+        while pos[v] < len(row):
+            ei = row[pos[v]]
+            pos[v] += 1
+            w = head[ei]
+            d = dart(ei, w)
+            if ei == parent[w]:  # tree edge: v becomes w's leftmost neighbour
+                if leftmost[w] < 0:
+                    cw[d] = ccw[d] = leftmost[w] = d
+                else:
+                    insert_before(w, d, leftmost[w])
+                left_ref[v] = right_ref[v] = dart(ei, v)
+                stack += (v, w)
+                break
+            if side[ei] == 1:
+                insert_after(d, right_ref[w])
+            else:
+                insert_before(w, d, left_ref[w])
+                left_ref[w] = d
+
+    rows = []
+    for v in range(n):
+        ring, d = [leftmost[v] >> 1], cw[leftmost[v]]
+        while d != leftmost[v]:
+            ring.append(d >> 1)
+            d = cw[d]
+        rows.append(_canon_row(ring))
+    return tuple(rows)
 
 
 def check_rotation(g: PaintedGraph, rot: Rotation) -> None:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .graphs import PaintedGraph
 
 Point = tuple[float, float]
@@ -22,6 +20,8 @@ SVG_MARGIN = 40  # blank border around the layout, in pixels
 def tutte_layout(g: PaintedGraph) -> list[Point]:
     """Coordinates per vertex, outer face on the unit circle.  Raises
     NonplanarError or PreconditionError unless g is planar and 3-connected."""
+    import numpy as np  # only the solve needs it; DOT output and failed parses never load it
+
     fs = g.embedding.faces
     sizes = fs.face_sizes()
     outer = max(range(len(sizes)), key=lambda f: (sizes[f], -f))

@@ -9,10 +9,11 @@ by dualizing stacked triangulations (always simple, cubic, planar and
 
 import json
 from itertools import combinations
+from math import lcm
 
 import networkx as nx
 
-from crushtacean import PaintedGraph, dual, painted_graph, planar_embed
+from crushtacean import NonplanarError, PaintedGraph, PreconditionError, dual, painted_graph, planar_embed
 
 
 def nx_graph(g: PaintedGraph) -> nx.Graph:
@@ -20,6 +21,24 @@ def nx_graph(g: PaintedGraph) -> nx.Graph:
     h.add_nodes_from(range(g.vertex_count))
     h.add_edges_from(g.edges)
     return h
+
+
+def nx_planar_embed(g: PaintedGraph) -> tuple[tuple[int, ...], ...]:
+    """``planar_embed`` as networkx computes it: ``check_planarity``'s
+    clockwise neighbour lists as edge-index rows, each started at its
+    smallest entry.  Same errors as ``planar_embed``."""
+    if not nx.is_connected(nx_graph(g)):
+        raise PreconditionError("planar_embed requires a connected graph")
+    ok, emb = nx.check_planarity(nx_graph(g), counterexample=False)
+    if not ok:
+        raise NonplanarError("graph is not planar")
+    data, idx = emb.get_data(), g.edge_index
+    rows = []
+    for v in range(g.vertex_count):
+        row = [idx[(min(v, w), max(v, w))] for w in data[v]]
+        k = row.index(min(row))
+        rows.append(tuple(row[k:] + row[:k]))
+    return tuple(rows)
 
 
 def random_triangulation(rng, extra: int) -> PaintedGraph:
@@ -165,6 +184,24 @@ def perm_inverse(p: tuple) -> tuple:
 
 
 def perm_order(p: tuple) -> int:
+    """The order of p: the lcm of its cycle lengths."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        order = lcm(order, length)
+    return order
+
+
+def perm_order_by_powers(p: tuple) -> int:
+    """The order of p by composing p with itself until the identity: the
+    reference ``perm_order`` is checked against on small groups."""
     ident = tuple(range(len(p)))
     k, cur = 1, p
     while cur != ident:

@@ -307,11 +307,11 @@ def test_reflection_finds_relabelled_chains_in_their_mirror_image(rng, n):
 
 
 def count_planarity_tests(monkeypatch):
-    import networkx as nx
+    from crushtacean import graphs
 
     calls = []
-    real = nx.check_planarity
-    monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(a) or real(*a, **k))
+    real = graphs.planar_embed
+    monkeypatch.setattr(graphs, "planar_embed", lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
 
 
@@ -327,6 +327,23 @@ def test_report_embeds_only_graphs_without_a_rotation(monkeypatch):
         s, _ = parse_graph(seed_text)
         assert symmetry_report(g, expansion_seed=s).b_prime.tag == "b_prime"
         assert len(calls) == want
+
+
+def test_report_validates_once(monkeypatch):
+    """The report's stages read the verdict the report made, and a fresh
+    graph is still checked before a stage runs on it."""
+    from crushtacean import classify
+
+    calls = []
+    real = classify.validate_crushtacean
+    monkeypatch.setattr(classify, "validate_crushtacean", lambda g: calls.append(g) or real(g))
+    for g in (gamma_pretzel(4), cycle_expand(prism(5))[0]):
+        calls.clear()
+        assert symmetry_report(g).crushtacean_valid
+        assert len(calls) == 1
+    calls.clear()
+    assert classify_bprime(cycle_expand(prism(5))[0]).tag == "b_prime"
+    assert len(calls) == 1
 
 
 def test_report_borromean():

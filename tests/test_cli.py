@@ -176,22 +176,42 @@ def test_classify_directory_error_row(tmp_path, capsys):
 
 
 def test_classify_with_rotations_never_loads_networkx(tmp_path):
+    """The planarity test is the package's own: no command loads
+    networkx, whether or not its input carries a rotation."""
     seed = prism(5)
     member, rot = cycle_expand(seed)
     seed_path = write_graph(tmp_path, "seed.json", seed, planar_embed(seed))
     member_path = write_graph(tmp_path, "member.json", member, rot)
+    bare_seed = write_graph(tmp_path, "bare_seed.json", seed)
+    bare_member = write_graph(tmp_path, "bare_member.json", member)
+    out = str(tmp_path / "out")
+    runs = [
+        ["classify", member_path, "--seed", seed_path],
+        ["classify", bare_member, "--seed", bare_seed],
+        ["validate", bare_member],
+        ["aut", bare_member, "--painted"],
+        ["expand", bare_seed, "-o", out + ".json"],
+        ["gen", "prism", "6", "-o", out + ".json"],
+        ["family", "--seed", bare_seed, "--count", "1", "--out", out],
+        ["family", "--group", "D5", "--count", "1", "--out", out],
+        ["render", bare_member, "-o", out + ".svg"],
+    ]
     script = (
         "import sys, crushtacean.cli\n"
-        f"code = crushtacean.cli.main(['classify', {member_path!r}, '--seed', {seed_path!r}])\n"
-        "print('networkx' in sys.modules, file=sys.stderr)\n"
-        "raise SystemExit(code)\n"
+        f"codes = [crushtacean.cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes, 'networkx' in sys.modules, file=sys.stderr)\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["signature_screen"] == "not_signature"
-    assert proc.stderr == "False\n"
+    decoder, text, reports = json.JSONDecoder(), proc.stdout, []
+    for _ in range(2):  # the two classify reports come first
+        report, end = decoder.raw_decode(text)
+        reports.append(report["signature_screen"])
+        text = text[end:].lstrip()
+    assert reports == ["not_signature"] * 2
+    assert proc.stderr == f"{[0] * len(runs)} False\n"
 
 
 def test_expand_counts(tmp_path, capsys):

@@ -161,6 +161,15 @@ def test_planar_embed_requires_connected():
         planar_embed(g)
 
 
+def test_planar_embed_is_not_recursive():
+    """Each pass of the planarity test keeps its own stack: the DFS of a
+    4,000-vertex prism is a path far deeper than the recursion limit."""
+    from crushtacean.families import prism
+
+    g = prism(2000)
+    assert g.vertex_count - g.edge_count + len(faces(g, planar_embed(g))) == 2
+
+
 def test_euler_formula_on_random_graphs(rng):
     for _ in range(25):
         g = random_cubic_planar(rng, rng.randrange(0, 15))

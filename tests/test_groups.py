@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from crushtacean import CapExceededError, GroupId, Permutation, close, identify, signature
 from crushtacean.groups import candidate_tags, realize
-from helpers import abstract_isomorphic, close_tuples, perm_compose, perm_inverse, perm_order
+from helpers import (
+    abstract_isomorphic,
+    close_tuples,
+    perm_compose,
+    perm_inverse,
+    perm_order,
+    perm_order_by_powers,
+)
 
 
 def test_permutation_algebra():
@@ -19,6 +26,15 @@ def test_permutation_algebra():
     assert q.order() == 2
     assert Permutation.identity(4).order() == 1
     assert (p * q).inverse() == q.inverse() * p.inverse()
+
+
+def test_perm_order_matches_repeated_composition():
+    """The cycle-walking order oracle against the definition: every
+    permutation of up to 6 points and every element of each catalog group
+    up to order 24."""
+    perms = [img for n in range(1, 7) for img in permutations(range(n))]
+    perms += [p.image for order in range(1, 25) for tag in candidate_tags(order) for p in realize(tag).elements]
+    assert [perm_order(p) for p in perms] == [perm_order_by_powers(p) for p in perms]
 
 
 def test_close_small_groups():

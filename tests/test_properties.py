@@ -1,5 +1,5 @@
-"""Property tests of the automorphism engine, the 3-connectivity check,
-the rotations files carry, and the report.
+"""Property tests of the planarity test, the automorphism engine, the
+3-connectivity check, the rotations files carry, and the report.
 
 Graphs come from the seeded generators in ``helpers``, driven by a
 Hypothesis-controlled ``random.Random``, so a failing case shrinks to a
@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from crushtacean import (
     GraphFormatError,
+    NonplanarError,
     Permutation,
     PreconditionError,
     automorphisms,
     cycle_expand,
+    faces,
     find_isomorphism,
     identify,
     painted_graph,
@@ -32,6 +34,7 @@ from crushtacean import (
     three_edge_cuts,
     validate_crushtacean,
 )
+from crushtacean.families import cube, dodecahedron, gamma_ochain, gamma_pretzel, prism, wheel
 from crushtacean.graphs import check_3_connected
 from helpers import (
     brute_automorphism_count,
@@ -39,6 +42,7 @@ from helpers import (
     hung_blocks,
     mirror,
     nx_graph,
+    nx_planar_embed,
     random_crushtacean,
     random_cubic_planar,
     random_triangulation,
@@ -57,6 +61,10 @@ SMALL = {
     "4-cycle": painted_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
     "path": painted_graph(4, [(0, 1), (1, 2), (2, 3)]),
 }
+
+
+K5 = painted_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+K33 = painted_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
 
 
 def shuffled(rng, n):
@@ -239,3 +247,59 @@ def test_expansion_copies_the_seed_group(rng, size):
     full, painted = automorphisms(seed), automorphisms(ex, True)
     assert painted.order == full.order
     assert identify(painted) == identify(full)
+
+
+def planarity_input(rng, kind: str, size: int):
+    """A connected graph of the given kind, planar or not."""
+    n = size + 3
+    if kind in ("connected", "grown"):
+        order = shuffled(rng, n)
+        edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        rng.shuffle(pairs)
+        if kind == "connected":  # a spanning tree plus up to 2n chords
+            return painted_graph(n, sorted(edges | set(pairs[: rng.randrange(2 * n + 1)])))
+        h = nx_graph(painted_graph(n, sorted(edges)))
+        for u, v in pairs[: rng.randrange(len(pairs) + 1)]:  # keep the ones that stay planar
+            h.add_edge(u, v)
+            if not nx.check_planarity(h)[0]:
+                h.remove_edge(u, v)
+        return painted_graph(n, [tuple(sorted(e)) for e in h.edges])
+    if kind == "subdivided":
+        base = K5 if rng.random() < 0.5 else K33
+        edges, n = list(base.edges), base.vertex_count
+        for _ in range(size):
+            u, v = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, n), (n, v)]
+            n += 1
+        return relabel(painted_graph(n, edges), shuffled(rng, n))
+    if kind == "family":
+        k = size % 6 + 3
+        makers = [prism, wheel, gamma_pretzel, lambda k: gamma_ochain(k - 1), lambda k: cube()]
+        makers += [lambda k: dodecahedron(), lambda k: cycle_expand(prism(k))[0]]
+        g = rng.choice(makers)(k)
+        return relabel(g, shuffled(rng, g.vertex_count))
+    return random_crushtacean(rng, size)
+
+
+def embed_outcome(embed, g):
+    try:
+        return embed(g)
+    except (NonplanarError, PreconditionError) as exc:
+        return type(exc).__name__
+
+
+@PROPERTY
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["connected", "grown", "subdivided", "family", "crushtacean"]),
+    size=st.integers(0, 12),
+)
+def test_planarity_test_matches_networkx(rng, kind, size):
+    """The left-right test gives networkx's verdict and, on planar
+    graphs, its rotation rows, which describe a sphere embedding."""
+    g = planarity_input(rng, kind, size)
+    ours = embed_outcome(planar_embed, g)
+    assert ours == embed_outcome(nx_planar_embed, g)
+    if not isinstance(ours, str):
+        assert g.vertex_count - g.edge_count + len(faces(g, ours)) == 2
