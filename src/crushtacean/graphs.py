@@ -81,6 +81,12 @@ class PaintedGraph:
         return Embedding(self, rot, check_3_connected(self, rot))
 
     @cached_property
+    def _carried_faces(self) -> FaceSet:
+        """The faces of the carried rotation, traced once for both a file's
+        Euler check and the embedding."""
+        return faces(self, self.rotation)
+
+    @cached_property
     def painted_set(self) -> frozenset[int]:
         return frozenset(self.painted)
 
@@ -550,7 +556,7 @@ def check_3_connected(g: PaintedGraph, rot: Rotation) -> FaceSet:
     shows up as two faces that share both cut vertices but no edge between
     them.  Raises PreconditionError otherwise.
     """
-    fs = faces(g, rot)
+    fs = g._carried_faces if rot is g.rotation else faces(g, rot)
     if _component_count(g) != 1 or g.vertex_count - g.edge_count + len(fs) != 2:
         raise PreconditionError("rotation is not a sphere embedding of a connected graph")
     at_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
@@ -671,7 +677,7 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
             check_rotation(g, rot)
         except (KeyError, InvalidRotationError) as exc:
             raise GraphFormatError(f"rotation does not match graph: {exc}") from exc
-        if n - g.edge_count + len(faces(g, rot)) != 2 * _component_count(g):
-            raise GraphFormatError("rotation is not a sphere embedding (V - E + F != 2 per component)")
         g = replace(g, rotation=rot)
+        if n - g.edge_count + len(g._carried_faces) != 2 * _component_count(g):
+            raise GraphFormatError("rotation is not a sphere embedding (V - E + F != 2 per component)")
     return g, rot

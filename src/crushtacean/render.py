@@ -7,6 +7,7 @@ planar graph yields a planar straight-line drawing with convex faces.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from .graphs import PaintedGraph
@@ -19,9 +20,13 @@ SVG_MARGIN = 40  # blank border around the layout, in pixels
 
 def tutte_layout(g: PaintedGraph) -> list[Point]:
     """Coordinates per vertex, outer face on the unit circle.  Raises
-    NonplanarError or PreconditionError unless g is planar and 3-connected."""
-    import numpy as np  # only the solve needs it; DOT output and failed parses never load it
+    NonplanarError or PreconditionError unless g is planar and 3-connected.
 
+    The interior positions solve the Dirichlet Laplacian system, which is
+    sparse and symmetric positive definite: Gaussian elimination in
+    minimum-degree order (ties to the smaller vertex) needs no pivoting
+    and fills in little on a planar graph.
+    """
     fs = g.embedding.faces
     sizes = fs.face_sizes()
     outer = max(range(len(sizes)), key=lambda f: (sizes[f], -f))
@@ -30,24 +35,54 @@ def tutte_layout(g: PaintedGraph) -> list[Point]:
     for i, v in enumerate(boundary):
         ang = 2.0 * math.pi * i / len(boundary) - math.pi / 2.0
         pos[v] = (math.cos(ang), math.sin(ang))
-    interior = [v for v in range(g.vertex_count) if v not in pos]
-    if interior:
-        index = {v: i for i, v in enumerate(interior)}
-        a = np.zeros((len(interior), len(interior)))
-        b = np.zeros((len(interior), 2))
-        for v in interior:
-            i = index[v]
-            a[i, i] = g.degree(v)
-            for e in g.incident[v]:
-                u = g.other_end(e, v)
-                if u in index:
-                    a[i, index[u]] -= 1.0
-                else:
-                    b[i, 0] += pos[u][0]
-                    b[i, 1] += pos[u][1]
-        sol = np.linalg.solve(a, b)
-        for v in interior:
-            pos[v] = (float(sol[index[v], 0]), float(sol[index[v], 1]))
+    # row v of the interior system: diagonal, off-diagonal entries by column, right-hand side
+    diag: dict[int, float] = {}
+    rows: dict[int, dict[int, float]] = {}
+    rhs: dict[int, Point] = {}
+    for v in range(g.vertex_count):
+        if v in pos:
+            continue
+        diag[v] = float(g.degree(v))
+        row = rows[v] = {}
+        bx = by = 0.0
+        for e in g.incident[v]:
+            u = g.other_end(e, v)
+            if u in pos:
+                bx += pos[u][0]
+                by += pos[u][1]
+            else:
+                row[u] = -1.0
+        rhs[v] = (bx, by)
+    heap = [(len(row), v) for v, row in rows.items()]
+    heapq.heapify(heap)
+    eliminated: list[tuple[int, dict[int, float]]] = []
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v not in rows or degree != len(rows[v]):
+            continue  # stale entry: v is gone or its degree has changed
+        row = rows.pop(v)
+        pivot = diag[v]
+        if not pivot > 0.0:
+            raise RuntimeError(f"Tutte system is not positive definite at vertex {v}")
+        bx, by = rhs[v]
+        for u, a_uv in row.items():
+            f = a_uv / pivot
+            urow = rows[u]
+            del urow[v]
+            diag[u] -= f * a_uv
+            for w, a_vw in row.items():
+                if w != u:
+                    urow[w] = urow.get(w, 0.0) - f * a_vw
+            ux, uy = rhs[u]
+            rhs[u] = (ux - f * bx, uy - f * by)
+            heapq.heappush(heap, (len(urow), u))
+        eliminated.append((v, row))
+    for v, row in reversed(eliminated):  # row holds only vertices eliminated after v
+        bx, by = rhs[v]
+        for w, a in row.items():
+            bx -= a * pos[w][0]
+            by -= a * pos[w][1]
+        pos[v] = (bx / diag[v], by / diag[v])
     return [pos[v] for v in range(g.vertex_count)]
 
 
@@ -56,14 +91,15 @@ def to_svg(g: PaintedGraph) -> str:
     layout = tutte_layout(g)
     xs = [p[0] for p in layout]
     ys = [p[1] for p in layout]
-    span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0) or 1.0
     scale = (SVG_SIZE - 2 * SVG_MARGIN) / span
 
     def sx(p: Point) -> float:
-        return SVG_MARGIN + (p[0] - min(xs)) * scale
+        return SVG_MARGIN + (p[0] - x0) * scale
 
     def sy(p: Point) -> float:
-        return SVG_MARGIN + (p[1] - min(ys)) * scale
+        return SVG_MARGIN + (p[1] - y0) * scale
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

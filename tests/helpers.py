@@ -8,10 +8,12 @@ by dualizing stacked triangulations (always simple, cubic, planar and
 """
 
 import json
+import math
 from itertools import combinations
 from math import lcm
 
 import networkx as nx
+import numpy as np
 
 from crushtacean import NonplanarError, PaintedGraph, PreconditionError, dual, painted_graph, planar_embed
 
@@ -321,3 +323,36 @@ def brute_automorphism_count(g: PaintedGraph, respect_painting: bool = False) ->
         return count
 
     return extend()
+
+
+def numpy_tutte_layout(g: PaintedGraph) -> list[tuple[float, float]]:
+    """``tutte_layout`` by a dense solve: the same boundary polygon and
+    right-hand side, the interior system handed whole to
+    ``numpy.linalg.solve`` (LU with partial pivoting)."""
+    fs = g.embedding.faces
+    sizes = fs.face_sizes()
+    outer = max(range(len(sizes)), key=lambda f: (sizes[f], -f))
+    boundary = [tail for tail, _head, _e in fs.faces[outer]]
+    pos = {}
+    for i, v in enumerate(boundary):
+        ang = 2.0 * math.pi * i / len(boundary) - math.pi / 2.0
+        pos[v] = (math.cos(ang), math.sin(ang))
+    interior = [v for v in range(g.vertex_count) if v not in pos]
+    if interior:
+        index = {v: i for i, v in enumerate(interior)}
+        a = np.zeros((len(interior), len(interior)))
+        b = np.zeros((len(interior), 2))
+        for v in interior:
+            i = index[v]
+            a[i, i] = g.degree(v)
+            for e in g.incident[v]:
+                u = g.other_end(e, v)
+                if u in index:
+                    a[i, index[u]] -= 1.0
+                else:
+                    b[i, 0] += pos[u][0]
+                    b[i, 1] += pos[u][1]
+        sol = np.linalg.solve(a, b)
+        for v in interior:
+            pos[v] = (float(sol[index[v], 0]), float(sol[index[v], 1]))
+    return [pos[v] for v in range(g.vertex_count)]

@@ -280,6 +280,34 @@ def test_family_from_seed_file(tmp_path, capsys):
     assert manifest["members"][0]["depth"] == 1
 
 
+def test_commands_run_without_numpy(tmp_path):
+    """numpy is a test oracle, not a runtime dependency: with its import
+    blocked, drawing, classifying and building still succeed."""
+    member, rot = cycle_expand(prism(5))
+    member_path = write_graph(tmp_path, "member.json", member, rot)
+    bare_member = write_graph(tmp_path, "bare_member.json", member)
+    out = str(tmp_path / "out")
+    runs = [
+        ["render", bare_member, "-o", out + ".svg"],
+        ["render", member_path, "--dot", "-o", out + ".dot"],
+        ["classify", member_path],
+        ["aut", bare_member, "--painted"],
+        ["family", "--group", "D5", "--count", "1", "--out", out],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any later import of numpy raises ImportError\n"
+        "import crushtacean.cli\n"
+        f"print([crushtacean.cli.main(argv) for argv in {runs!r}], file=sys.stderr)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{[0] * len(runs)}\n"
+    assert Path(out + ".svg").read_text().count("<line ") == member.edge_count
+
+
 def test_render_svg_and_dot(tmp_path, capsys):
     path = write_graph(tmp_path, "b.json", gamma_borromean())
     svg_path = tmp_path / "b.svg"

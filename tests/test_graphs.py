@@ -17,6 +17,7 @@ from crushtacean import (
     serialize_graph,
     validate_basic,
 )
+from crushtacean import graphs
 from crushtacean.graphs import check_rotation
 from helpers import nx_graph, random_crushtacean, random_cubic_planar, random_triangulation, splice
 
@@ -247,6 +248,24 @@ def test_embedding_rejects_a_carried_rotation_of_a_2_connected_graph(rng):
     h, _rot = parse_graph(serialize_graph(g, planar_embed(g)))
     with pytest.raises(PreconditionError):
         h.embedding
+
+
+def test_a_parsed_rotation_is_traced_once(rng, monkeypatch):
+    """The faces traced for a file's V - E + F = 2 check serve the
+    embedding too, whether or not the graph turns out 3-connected."""
+    good = random_crushtacean(rng, 6)
+    bad = splice(random_cubic_planar(rng, 2), random_cubic_planar(rng, 3))
+    docs = [serialize_graph(g, planar_embed(g)) for g in (good, bad)]
+    traced = []
+    real_faces = graphs.faces
+    monkeypatch.setattr(graphs, "faces", lambda g, rot: traced.append(rot) or real_faces(g, rot))
+    h, rot = parse_graph(docs[0])
+    assert len(h.embedding.faces) == 2 + good.edge_count - good.vertex_count
+    assert traced == [rot]
+    h, bad_rot = parse_graph(docs[1])  # a sphere rotation, but of a 2-connected graph
+    with pytest.raises(PreconditionError):
+        h.embedding
+    assert traced == [rot, bad_rot]
 
 
 def test_dual_carries_a_sphere_rotation(rng):

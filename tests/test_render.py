@@ -1,8 +1,12 @@
 import xml.etree.ElementTree as ET
 
-from crushtacean.families import cube, dodecahedron, gamma_borromean, gamma_pretzel, wheel
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crushtacean import cycle_expand
+from crushtacean.families import antiprism, cube, dodecahedron, gamma_borromean, gamma_pretzel, prism, wheel
 from crushtacean.render import to_dot, to_svg, tutte_layout
-from helpers import random_crushtacean
+from helpers import numpy_tutte_layout, random_crushtacean, random_cubic_planar
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -37,6 +41,47 @@ def test_layout_is_barycentric():
             ay = sum(layout[u][1] for u in nbrs) / len(nbrs)
             assert abs(layout[v][0] - ax) < 1e-8
             assert abs(layout[v][1] - ay) < 1e-8
+
+
+def off_average(g, layout) -> float:
+    """How far the worst vertex off the outer face lies from the average
+    of its neighbours."""
+    fs = g.embedding.faces
+    sizes = fs.face_sizes()
+    outer = max(range(len(sizes)), key=lambda f: (sizes[f], -f))
+    boundary = {d[0] for d in fs.faces[outer]}
+    worst = 0.0
+    for v in range(g.vertex_count):
+        if v not in boundary:
+            nbrs = g.adjacency[v]
+            for k in (0, 1):
+                worst = max(worst, abs(layout[v][k] - sum(layout[u][k] for u in nbrs) / len(nbrs)))
+    return worst
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rng=st.randoms(use_true_random=False),
+    kind=st.sampled_from(["crushtacean", "prism", "antiprism", "wheel", "expansion"]),
+    size=st.integers(0, 40),
+)
+def test_sparse_layout_matches_the_dense_solve(rng, kind, size):
+    if kind == "crushtacean":
+        g = random_crushtacean(rng, size)
+    elif kind == "expansion":
+        g, _rot = cycle_expand(random_cubic_planar(rng, size // 2))
+    else:
+        g = {"prism": prism, "antiprism": antiprism, "wheel": wheel}[kind](size + 3)
+    layout = tutte_layout(g)
+    want = numpy_tutte_layout(g)
+    assert max(abs(p[k] - q[k]) for p, q in zip(layout, want) for k in (0, 1)) < 1e-9
+    assert off_average(g, layout) < 1e-8
+
+
+def test_layout_of_a_4000_vertex_prism():
+    """A dense solve would need a 2,000 x 2,000 matrix for the inner ring."""
+    g = prism(2000)
+    assert off_average(g, tutte_layout(g)) < 1e-8
 
 
 def test_layout_has_no_edge_crossings(rng):
