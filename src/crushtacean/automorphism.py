@@ -2,13 +2,15 @@
 
 By Whitney's theorem such a graph has one sphere embedding, up to mirror
 image, so an isomorphism is fixed by a flag: the image of one dart and a
-sign (+1 keeps the rotations, -1 reverses them).  Both entry points fix a
-base dart, try each flag whose invariant matches it (edge class, end
-degrees, the sizes of the two faces beside the dart, swapped for sign -1)
-and extend it by breadth-first search over the rotation system, checking
-every edge and its class.  At most 4E flags of O(E) steps each; the flags
-that survive are the maps themselves, so no closure is needed (Weinberg
-1966).
+sign (+1 keeps the rotations, -1 reverses them; Weinberg 1966).  Both
+entry points fix a base dart, try each flag whose invariant matches it
+(edge class, end degrees, the sizes of the two faces beside the dart,
+swapped for sign -1) and extend it by breadth-first search over the
+rotation system, checking every edge and its class, in O(E) steps.  The
+automorphism search skips each flag that the group generated by the maps
+found so far already sends the base flag to, as in a Schreier-Sims orbit
+walk (Sims 1970): each map it finds at least doubles that group, so at
+most floor(log2 |G|) flags succeed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter
 
 from .errors import CapExceededError
 from .graphs import PaintedGraph
-from .groups import DEFAULT_CAP, PermGroup, Permutation, from_elements
+from .groups import DEFAULT_CAP, Image, PermGroup, Permutation, _closure, from_elements
 
 
 class _Darts:
@@ -85,21 +87,41 @@ def _extend(a: _Darts, b: _Darts, base: int, image: int, sign: int) -> tuple[int
 def automorphisms(
     g: PaintedGraph, respect_painting: bool = False, cap: int = DEFAULT_CAP
 ) -> PermGroup:
-    """The automorphism group of g (painted edges preserved when asked).
+    """The automorphism group of g (painted edges preserved when asked),
+    closed from the maps of the candidate flags that the maps found before
+    do not reach: at most floor(log2 |G|) of them.
 
     Raises NonplanarError or PreconditionError unless g is planar and
-    3-connected, and CapExceededError once more than ``cap`` maps are found.
+    3-connected, and CapExceededError when there are more than ``cap`` maps.
     """
     darts = _Darts(g, respect_painting)
     base = darts.base()
-    found: list[Permutation] = []
+    tail, rev = darts.tail, darts.rev
+    dart_at = {(tail[d], tail[r]): d for d, r in enumerate(rev)}
+    v, w, u = tail[base], tail[rev[base]], tail[rev[darts.nxt[base]]]
+
+    def flag(p: Image) -> tuple[int, int]:  # the image of the base flag
+        d = dart_at[p[v], p[w]]
+        return d, 1 if dart_at[p[v], p[u]] == darts.nxt[d] else -1
+
+    too_many = f"automorphism count exceeded cap of {cap}"
+    gens: list[Image] = []
+    span = {tuple(range(g.vertex_count))}
+    reached = {(base, 1)}
     for image, sign in darts.flags(darts.keys[1][base]):
+        if (image, sign) in reached:
+            continue
         perm = _extend(darts, darts, base, image, sign)
         if perm is not None:
-            found.append(Permutation(perm))
-            if len(found) > cap:
-                raise CapExceededError(f"automorphism count exceeded cap of {cap}")
-    return from_elements(found, g.vertex_count)
+            gens.append(Permutation(perm).image)
+            try:
+                span = _closure(g.vertex_count, gens, cap=cap)
+            except CapExceededError:
+                raise CapExceededError(too_many) from None
+            reached = set(map(flag, span))
+    if len(span) > cap:  # the identity alone, with cap < 1
+        raise CapExceededError(too_many)
+    return from_elements(map(Permutation, span), g.vertex_count)
 
 
 def find_isomorphism(

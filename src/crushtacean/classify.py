@@ -97,36 +97,6 @@ def _require_valid(g: PaintedGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# nerve
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NerveReport:
-    is_triangulation: bool
-    one_painted_per_triangle: bool
-
-
-def nerve_check(g: PaintedGraph) -> NerveReport:
-    """Check the planar dual is a sphere triangulation whose triangles each
-    cross exactly one painted edge.
-
-    Both are read off the faces of the dual's own embedding: every dual
-    face has three sides, and each crosses one painted edge.  The dual is
-    simple by construction (building it raises otherwise).
-    """
-    _require_valid(g)
-    dg, _corr = g.embedding.dual
-    walks = dg.embedding.faces.faces
-    return NerveReport(
-        is_triangulation=all(len(walk) == 3 for walk in walks),
-        one_painted_per_triangle=all(
-            sum(dg.is_painted(e) for _t, _h, e in walk) == 1 for walk in walks
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # knot circles
 # ---------------------------------------------------------------------------
 

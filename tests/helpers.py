@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own algorithms: cut
 enumeration removes subsets and checks connectivity, automorphism counts
 try all vertex permutations, and the random crushtacean corpus is built
 by dualizing stacked triangulations (always simple, cubic, planar and
-3-connected) and painting a maximum matching.
+3-connected) and painting a maximum matching.  The exception is
+``scan_automorphisms``, the engine's own flag extension run over every
+candidate flag: the reference for the search that skips flags.
 """
 
 import json
@@ -15,7 +17,19 @@ from math import lcm
 import networkx as nx
 import numpy as np
 
-from crushtacean import NonplanarError, PaintedGraph, PreconditionError, dual, painted_graph, planar_embed
+from crushtacean import (
+    CapExceededError,
+    NonplanarError,
+    PaintedGraph,
+    PermGroup,
+    Permutation,
+    PreconditionError,
+    dual,
+    painted_graph,
+    planar_embed,
+)
+from crushtacean.automorphism import _Darts, _extend
+from crushtacean.groups import DEFAULT_CAP, from_elements
 
 
 def nx_graph(g: PaintedGraph) -> nx.Graph:
@@ -288,6 +302,35 @@ def abstract_isomorphic(elems1: set[tuple], elems2: set[tuple]) -> bool:
         )
 
     return try_assign([])
+
+
+def scan_automorphisms(
+    g: PaintedGraph, respect_painting: bool = False, cap: int = DEFAULT_CAP
+) -> PermGroup:
+    """``automorphisms`` by extending every candidate flag of the base dart:
+    the flags that survive are the maps themselves, so no closure is
+    needed.  Raises like ``automorphisms``."""
+    darts = _Darts(g, respect_painting)
+    base = darts.base()
+    found: list[Permutation] = []
+    for image, sign in darts.flags(darts.keys[1][base]):
+        perm = _extend(darts, darts, base, image, sign)
+        if perm is not None:
+            found.append(Permutation(perm))
+            if len(found) > cap:
+                raise CapExceededError(f"automorphism count exceeded cap of {cap}")
+    return from_elements(found, g.vertex_count)
+
+
+def dual_nerve(g: PaintedGraph) -> tuple[bool, bool]:
+    """Read off the faces of the planar dual's own embedding: whether every
+    face is a triangle, and whether each crosses exactly one painted edge."""
+    dg, _corr = g.embedding.dual
+    walks = dg.embedding.faces.faces
+    return (
+        all(len(walk) == 3 for walk in walks),
+        all(sum(dg.is_painted(e) for _t, _h, e in walk) == 1 for walk in walks),
+    )
 
 
 def brute_automorphism_count(g: PaintedGraph, respect_painting: bool = False) -> int:

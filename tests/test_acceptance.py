@@ -22,7 +22,6 @@ from crushtacean import (
     find_isomorphism,
     identify,
     knot_circles,
-    nerve_check,
     painted_graph,
     planar_embed,
     symmetry_report,
@@ -43,6 +42,7 @@ from crushtacean.families import (
     wheel,
 )
 from helpers import (
+    dual_nerve,
     nx_graph,
     perm_order,
     random_crushtacean,
@@ -292,9 +292,10 @@ def test_acceptance_09_validation_gauntlet(rng):
             gamma_ochain(2), gamma_ochain(3), cycle_expand(wheel(5))[0]]
     good += [random_crushtacean(rng, rng.randrange(0, 10)) for _ in range(5)]
     for g in good:
-        nerve = nerve_check(g)
-        if not (nerve.is_triangulation and nerve.one_painted_per_triangle):
-            problems.append(f"nerve check failed on a valid crushtacean: {nerve}")
+        rep = validate_crushtacean(g)
+        nerve = dual_nerve(g)
+        if not rep.valid or nerve != (True, True):
+            problems.append(f"nerve check failed on a valid crushtacean: {rep.reasons}, {nerve}")
 
     k33 = painted_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     petersen = painted_graph(10, [(i, (i + 1) % 5) for i in range(5)]

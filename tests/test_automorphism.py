@@ -2,6 +2,7 @@ import pytest
 
 from crushtacean import (
     CapExceededError,
+    automorphism,
     automorphisms,
     find_isomorphism,
     painted_graph,
@@ -153,6 +154,47 @@ def test_painting_respected_only_when_asked():
     assert find_isomorphism(g, unpainted) is not None
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(rng):
+    """CapExceededError, with its message, exactly when |Aut| > cap; the
+    random crushtacean has the identity alone."""
     with pytest.raises(CapExceededError):
         automorphisms(prism(6), cap=5)
+    asymmetric = random_crushtacean(rng, 12)
+    assert automorphisms(asymmetric).order == 1
+    for g in [prism(6), gamma_borromean(), gamma_pretzel(5), cycle_expand(cube())[0], asymmetric]:
+        for painted in (False, True):
+            order = automorphisms(g, painted).order
+            for cap in (0, order - 1):
+                with pytest.raises(CapExceededError) as info:
+                    automorphisms(g, painted, cap=cap)
+                assert str(info.value) == f"automorphism count exceeded cap of {cap}"
+            assert automorphisms(g, painted, cap=order).order == order
+
+
+EXTENSION_CASES = {
+    "dodecahedron_expanded": (lambda: cycle_expand(dodecahedron())[0], 120),
+    "dodecahedron_expanded_twice": (
+        lambda: cycle_expand(cycle_expand(dodecahedron())[0])[0],
+        120,
+    ),
+    "prism40": (lambda: prism(40), 160),
+}
+
+
+@pytest.mark.parametrize("painted", [False, True], ids=["unpainted", "painted"])
+@pytest.mark.parametrize("name", sorted(EXTENSION_CASES))
+def test_extensions_stay_within_log2_of_the_order(name, painted, monkeypatch):
+    """Each flag extended succeeds here and at least doubles the group found
+    so far, so a search that skips reached flags extends at most
+    floor(log2 |G|) of them; a full scan extends all |G|."""
+    make, order = EXTENSION_CASES[name]
+    calls = []
+    extend = automorphism._extend
+
+    def counting(*args):
+        calls.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(automorphism, "_extend", counting)
+    assert automorphisms(make(), painted).order == order
+    assert 1 <= len(calls) <= order.bit_length() - 1  # floor(log2 order)

@@ -11,7 +11,6 @@ from crushtacean import (
     detect_reflection_multiplicity,
     has_universal_region,
     knot_circles,
-    nerve_check,
     painted_graph,
     parse_graph,
     planar_embed,
@@ -31,7 +30,7 @@ from crushtacean.families import (
     prism,
     wheel,
 )
-from helpers import brute_cuts, mirror, random_crushtacean, random_cubic_planar
+from helpers import brute_cuts, dual_nerve, mirror, random_crushtacean, random_cubic_planar
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -116,29 +115,25 @@ def test_reason_painted_not_perfect_matching():
 
 
 def test_nerve_check_on_valid_graphs(rng):
-    for g in [gamma_borromean(), gamma_pretzel(5), gamma_ochain(4)]:
-        rep = nerve_check(g)
-        assert rep.is_triangulation and rep.one_painted_per_triangle
-    for _ in range(6):
-        rep = nerve_check(random_crushtacean(rng, rng.randrange(0, 8)))
-        assert rep.is_triangulation and rep.one_painted_per_triangle
+    """The dual of a crushtacean is a sphere triangulation whose triangles
+    each cross one painted edge."""
+    graphs = [gamma_borromean(), gamma_pretzel(5), gamma_ochain(4)]
+    graphs += [random_crushtacean(rng, rng.randrange(0, 8)) for _ in range(6)]
+    for g in graphs:
+        assert validate_crushtacean(g).valid
+        assert dual_nerve(g) == (True, True)
 
 
 def test_nerve_check_reads_any_sphere_rotation(rng):
     for _ in range(5):
         g = random_crushtacean(rng, rng.randrange(0, 8))
-        rep = nerve_check(replace(g, rotation=mirror(planar_embed(g))))
-        assert rep.is_triangulation and rep.one_painted_per_triangle
+        assert dual_nerve(replace(g, rotation=mirror(planar_embed(g)))) == (True, True)
     # painting two edges at a vertex leaves that dual triangle crossing two
     g = painted_graph(4, K4_EDGES, [(0, 1), (0, 2), (1, 3)])
     dg, _corr = g.embedding.dual
     crossings = sorted(sum(dg.is_painted(e) for _t, _h, e in w) for w in dg.embedding.faces.faces)
     assert crossings == [1, 1, 2, 2]
-
-
-def test_nerve_check_refuses_invalid_input():
-    with pytest.raises(PreconditionError):
-        nerve_check(painted_graph(4, K4_EDGES, [(0, 1)]))
+    assert dual_nerve(g) == (True, False)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,12 @@ def test_aut_cap_exit_code(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_aut_cap_message(tmp_path, capsys):
+    path = write_graph(tmp_path, "prism6.json", prism(6))
+    code, out, err = run(capsys, "aut", path, "--cap", "5")
+    assert (code, out, err) == (3, "", "error: automorphism count exceeded cap of 5\n")
+
+
 def test_classify_single_file(tmp_path, capsys):
     path = write_graph(tmp_path, "p5.json", gamma_pretzel(5))
     code, out, _ = run(capsys, "classify", path)

@@ -34,7 +34,15 @@ from crushtacean import (
     three_edge_cuts,
     validate_crushtacean,
 )
-from crushtacean.families import cube, dodecahedron, gamma_ochain, gamma_pretzel, prism, wheel
+from crushtacean.families import (
+    antiprism,
+    cube,
+    dodecahedron,
+    gamma_ochain,
+    gamma_pretzel,
+    prism,
+    wheel,
+)
 from crushtacean.graphs import check_3_connected
 from helpers import (
     brute_automorphism_count,
@@ -46,6 +54,7 @@ from helpers import (
     random_crushtacean,
     random_cubic_planar,
     random_triangulation,
+    scan_automorphisms,
     shuffled_document,
     splice,
 )
@@ -99,6 +108,33 @@ def test_relabelling_conjugates_the_group(rng, size, painted):
         image = tuple(sorted((phi(u), phi(v))))
         assert image in h_edges
         assert (image in h_painted) == g.is_painted(e)
+
+
+NAMED = {
+    "prism": prism,
+    "antiprism": antiprism,
+    "wheel": wheel,
+    "pretzel": gamma_pretzel,
+    "ochain": gamma_ochain,
+}
+
+
+@PROPERTY
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["crushtacean", *sorted(NAMED)]),
+    n=st.integers(3, 12),
+    expanded=st.booleans(),
+    painted=st.booleans(),
+)
+def test_search_matches_the_full_flag_scan(rng, kind, n, expanded, painted):
+    """Skipping the flags the maps found so far reach gives the group of
+    the full scan: the same sorted elements and greedy generators."""
+    g = random_crushtacean(rng, n) if kind == "crushtacean" else NAMED[kind](n)
+    if expanded:
+        g = cycle_expand(g)[0]
+    g = relabel(g, shuffled(rng, g.vertex_count))
+    assert automorphisms(g, painted) == scan_automorphisms(g, painted)
 
 
 @PROPERTY
