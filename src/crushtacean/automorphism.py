@@ -16,6 +16,7 @@ most floor(log2 |G|) flags succeed.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 from .errors import CapExceededError
 from .graphs import PaintedGraph
@@ -89,7 +90,8 @@ def automorphisms(
 ) -> PermGroup:
     """The automorphism group of g (painted edges preserved when asked),
     closed from the maps of the candidate flags that the maps found before
-    do not reach: at most floor(log2 |G|) of them.
+    do not reach: at most floor(log2 |G|) of them.  Each element carries
+    the sign of the base flag's image: +1 when it keeps the rotations.
 
     Raises NonplanarError or PreconditionError unless g is planar and
     3-connected, and CapExceededError when there are more than ``cap`` maps.
@@ -121,7 +123,8 @@ def automorphisms(
             reached = set(map(flag, span))
     if len(span) > cap:  # the identity alone, with cap < 1
         raise CapExceededError(too_many)
-    return from_elements(map(Permutation, span), g.vertex_count)
+    grp = from_elements(map(Permutation, span), g.vertex_count)
+    return replace(grp, signs=tuple(flag(p.image)[1] for p in grp.elements))
 
 
 def find_isomorphism(

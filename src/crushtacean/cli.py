@@ -28,6 +28,7 @@ from .families import (
     gamma_pretzel,
     generate_family,
     prism,
+    require_expansions,
     tetrahedron,
     wheel,
 )
@@ -124,6 +125,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     g, rot = _read_graph(args.graph)
+    require_expansions(g, args.count)
     for _ in range(args.count):
         g, rot = cycle_expand(g)
     _emit(serialize_graph(g, rot), args.out)

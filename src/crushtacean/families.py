@@ -25,6 +25,25 @@ from .errors import CatalogMissError, PreconditionError
 from .graphs import Edge, PaintedGraph, Rotation, _canon_row, painted_graph
 from .groups import GroupId, identify
 
+MAX_VERTICES = 10**5  # the largest graph built: far above the few thousand vertices aimed at
+
+
+def _require_vertices(count: int) -> None:
+    if count > MAX_VERTICES:
+        raise PreconditionError(f"the graph would have {count} vertices, more than {MAX_VERTICES}")
+
+
+def require_expansions(g: PaintedGraph, times: int) -> None:
+    """Raise PreconditionError unless ``times`` >= 0 cycle expansions of g
+    stay within MAX_VERTICES: each has 2E vertices and 3E edges."""
+    if times < 0:
+        raise PreconditionError(f"the number of expansions must be at least 0, got {times}")
+    edges = g.edge_count
+    for _ in range(times):
+        _require_vertices(2 * edges)
+        edges *= 3
+
+
 # ---------------------------------------------------------------------------
 # painted families
 # ---------------------------------------------------------------------------
@@ -40,6 +59,7 @@ def gamma_borromean() -> PaintedGraph:
 def gamma_pretzel(n: int) -> PaintedGraph:
     """Chain of n crossing circles in a cycle: the n-prism with every rung
     painted.  Vertices 0..n-1 are the top cycle, n..2n-1 the bottom."""
+    _require_vertices(2 * n)
     if n < 3:
         raise ValueError("pretzel chain needs at least three links")
     edges: list[Edge] = [(i, (i + 1) % n) for i in range(n)]
@@ -60,6 +80,7 @@ def gamma_ochain(n: int) -> PaintedGraph:
     Layout: top path vertices 0..n-1, bottom path n..2n-1, fused vertices
     x = 2n (left, joining top 0 and bottom n) and y = 2n+1 (right).
     """
+    _require_vertices(2 * n + 2)
     if n < 2:
         raise ValueError("chain needs at least two links")
     x, y = 2 * n, 2 * n + 1
@@ -97,6 +118,7 @@ def gamma_ochain(n: int) -> PaintedGraph:
 
 def wheel(n: int) -> PaintedGraph:
     """Cycle 0..n-1 plus a hub n joined to every rim vertex."""
+    _require_vertices(n + 1)
     if n < 3:
         raise ValueError("wheel needs a rim of at least three vertices")
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
@@ -113,6 +135,7 @@ def _reject(n: int) -> PaintedGraph:
 
 def antiprism(n: int) -> PaintedGraph:
     """Two n-cycles, bottom vertex n+i joined to top i and i+1."""
+    _require_vertices(2 * n)
     if n < 3:
         _reject(n)
     edges: list[Edge] = [(i, (i + 1) % n) for i in range(n)]
@@ -144,10 +167,7 @@ def dodecahedron() -> PaintedGraph:
     return painted_graph(20, sorted(edges))
 
 
-def seed_catalog(target: GroupId) -> list[tuple[str, PaintedGraph]]:
-    """Seeds whose full automorphism group realizes the target; every
-    candidate is re-verified through the automorphism engine before being
-    returned, so a miss yields an empty list."""
+def _seed_candidates(target: GroupId) -> list[tuple[str, PaintedGraph]]:
     cands: list[tuple[str, PaintedGraph]] = []
     kind, n = target.kind, target.n
     if kind == "dihedral" and n >= 4:
@@ -166,11 +186,18 @@ def seed_catalog(target: GroupId) -> list[tuple[str, PaintedGraph]]:
         cands.extend([("cube", cube()), ("antiprism3", antiprism(3))])
     elif kind == "A5xZ2":
         cands.append(("dodecahedron", dodecahedron()))
-    out = []
-    for name, g in cands:
-        if identify(automorphisms(g, respect_painting=False)) == target:
-            out.append((name, g))
-    return out
+    return cands
+
+
+def seed_catalog(target: GroupId) -> list[tuple[str, PaintedGraph]]:
+    """Seeds whose full automorphism group realizes the target; every
+    candidate is re-verified through the automorphism engine before being
+    returned, so a miss yields an empty list."""
+    return [(name, g) for name, g in _seed_candidates(target) if _realizes(g, target)]
+
+
+def _realizes(g: PaintedGraph, target: GroupId) -> bool:
+    return identify(automorphisms(g, respect_painting=False)) == target
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +264,15 @@ def cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, Rotation]:
 # ---------------------------------------------------------------------------
 
 
+def _require_family(seed: PaintedGraph, count: int) -> bool:
+    """Check the family's size; whether it skips the first expansion."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    skip_first = has_universal_region(seed)
+    require_expansions(seed, count + skip_first)
+    return skip_first
+
+
 @dataclass(frozen=True)
 class FamilyMember:
     """One iterated expansion, with the graph it was expanded from (its
@@ -259,15 +295,14 @@ def generate_family(
     (its screen is inconclusive there), so every returned member carries a
     not-a-signature-link certificate.  With ``verify`` each member is
     re-validated and its painted symmetry group re-identified against the
-    seed's.
+    seed's.  Raises PreconditionError, before any expansion, when the last
+    member would have more than MAX_VERTICES vertices.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    skip_first = _require_family(seed, count)
     target = identify(automorphisms(seed, respect_painting=False)) if verify else None
     members: list[FamilyMember] = []
     cur = seed
     depth = 0
-    skip_first = has_universal_region(seed)
     while len(members) < count:
         cert = signature_screen(cur) == SCREEN_NOT_SIGNATURE
         nxt, nxt_rot = cycle_expand(cur)
@@ -288,9 +323,10 @@ def generate_family(
 def family_from_target(
     target: GroupId, count: int, *, verify: bool = True
 ) -> tuple[str, tuple[FamilyMember, ...]]:
-    """Pick a catalog seed realizing the target group and expand it."""
-    seeds = seed_catalog(target)
-    if not seeds:
-        raise CatalogMissError(f"no catalog seed with symmetry group {target}")
-    name, seed = seeds[0]
-    return name, generate_family(seed, count, verify=verify)
+    """Expand the first catalog seed that realizes the target group; each
+    candidate's family size is checked before its automorphism search."""
+    for name, seed in _seed_candidates(target):
+        _require_family(seed, count)
+        if _realizes(seed, target):
+            return name, generate_family(seed, count, verify=verify)
+    raise CatalogMissError(f"no catalog seed with symmetry group {target}")

@@ -1,23 +1,22 @@
-"""Finite permutation groups, abstract-type signatures, and identification.
+"""Finite permutation groups, their orientation split, and identification.
 
 Groups are stored as explicit element lists (desk scale, closure capped).
 Inside this module products compose bare image tuples; a Permutation, and
-so its bijection check, is built once per group element.  Identification
-works against the catalog of abstract isomorphism types of the finite
-subgroups of O(3): cyclic, dihedral, those times Z2, the Klein group, and
-the six exceptional types built from the tetrahedral, octahedral and
-icosahedral rotation groups.
+so its bijection check, is built once per group element.  The automorphism
+group of a 3-connected planar graph acts on the sphere as a finite
+subgroup of O(3) (Mani 1971), and ``automorphisms`` signs each element +1
+or -1 as it keeps or reverses the rotations.  The group's catalog tag
+(cyclic, dihedral, those times Z2, Klein, or one of the six polyhedral
+types) is read off that split.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple
 
-from .errors import CapExceededError
+from .errors import CapExceededError, PreconditionError
 
 DEFAULT_CAP = 10**6
 
@@ -71,20 +70,17 @@ class Permutation:
     def identity(degree: int) -> "Permutation":
         return Permutation(tuple(range(degree)))
 
-    @staticmethod
-    def from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        image = list(range(degree))
-        for cyc in cycles:
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                image[a] = b
-        return Permutation(tuple(image))
-
 
 @dataclass(frozen=True)
 class PermGroup:
+    """A permutation group with all its elements, in sorted order.  A group
+    of sphere symmetries also carries one sign per element, aligned with
+    ``elements``: +1 keeps the orientation, -1 reverses it."""
+
     degree: int
     generators: tuple[Permutation, ...]
     elements: tuple[Permutation, ...]
+    signs: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -99,22 +95,16 @@ def _mul(p: Image, q: Image) -> Image:
     return tuple(map(p.__getitem__, q))
 
 
-def _closure(
-    degree: int,
-    left: Collection[Image],
-    conj: Sequence[tuple[Image, Image]] = (),
-    cap: int = DEFAULT_CAP,
-) -> set[Image]:
+def _closure(degree: int, left: Collection[Image], cap: int = DEFAULT_CAP) -> set[Image]:
     """Image tuples reached from the identity (BFS with element cap) by
-    multiplying on the left by an element of ``left`` or mapping x to
-    g^-1 x g for a pair (g^-1, g) in ``conj``."""
+    multiplying on the left by an element of ``left``."""
     ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt: list[Image] = []
         for x in frontier:
-            for y in [_mul(a, x) for a in left] + [_mul(gi, _mul(x, g)) for gi, g in conj]:
+            for y in [_mul(a, x) for a in left]:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -159,35 +149,32 @@ def from_elements(elements: Iterable[Permutation], degree: int) -> PermGroup:
 
 
 class GroupSignature(NamedTuple):
-    """Abstract-isomorphism invariants used to identify a group."""
+    """The orientation split of a group of sphere symmetries: the
+    invariants :func:`identify` reads."""
 
-    order: int
-    abelian: bool
-    order_histogram: tuple[tuple[int, int], ...]
-    center_order: int
-    derived_order: int
+    rotations: int  # |R|, the elements with sign +1
+    rotation_max_order: int  # the largest element order in R
+    max_order: int  # the largest element order in the group
+    central_reversal: bool  # some central involution has sign -1
 
 
 def signature(g: PermGroup) -> GroupSignature:
+    """The orientation split of a group that carries signs (an
+    ``automorphisms`` result); raises PreconditionError on one without."""
+    if g.signs is None:
+        raise PreconditionError("the group carries no orientation signs")
     gens = [p.image for p in g.generators]
-    hist = Counter(p.order() for p in g.elements)
-    center = sum(1 for p in g.elements if all(_mul(p.image, q) == _mul(q, p.image) for q in gens))
+    orders = [p.order() for p in g.elements]
+    rotation_orders = [k for k, s in zip(orders, g.signs) if s > 0]
     return GroupSignature(
-        order=g.order,
-        abelian=center == g.order,
-        order_histogram=tuple(sorted(hist.items())),
-        center_order=center,
-        derived_order=_derived_order(g.degree, gens),
+        rotations=len(rotation_orders),
+        rotation_max_order=max(rotation_orders, default=0),
+        max_order=max(orders, default=0),
+        central_reversal=any(
+            s < 0 and k == 2 and all(_mul(p.image, q) == _mul(q, p.image) for q in gens)
+            for p, k, s in zip(g.elements, orders, g.signs)
+        ),
     )
-
-
-def _derived_order(degree: int, gens: list[Image]) -> int:
-    """Order of the derived subgroup: the normal closure of the generators'
-    commutators, as the elements reached from the identity by multiplying
-    by a commutator or conjugating by a generator."""
-    pairs = [(Permutation(a).inverse().image, a) for a in gens]
-    commutators = {_mul(_mul(a, b), _mul(ai, bi)) for ai, a in pairs for bi, b in pairs}
-    return len(_closure(degree, commutators, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -360,85 +347,39 @@ class GroupId:
         return aliases.get(self.kind)
 
 
+
+
 # ---------------------------------------------------------------------------
-# catalog realizations and identification
+# identification from the orientation split
 # ---------------------------------------------------------------------------
 
-
-def realize(tag: GroupId) -> PermGroup:
-    """A concrete permutation realization of a catalog tag."""
-    k, n = tag.kind, tag.n
-    C = Permutation.from_cycles
-    if k == "trivial":
-        return close([], degree=1)
-    if k == "cyclic":
-        return close([C(n, [list(range(n))])])
-    if k == "klein":
-        return close([C(4, [(0, 1)]), C(4, [(2, 3)])])
-    if k == "dihedral":
-        r = C(n, [list(range(n))])
-        s = Permutation(tuple((n - i) % n for i in range(n)))
-        return close([r, s])
-    if k == "cyclic_x_z2":
-        r = C(n + 2, [list(range(n))])
-        t = C(n + 2, [(n, n + 1)])
-        return close([r, t])
-    if k == "dihedral_x_z2":
-        if n == 2:
-            # Klein x Z2: the 2-point "dihedral" realization degenerates
-            return close([C(6, [(0, 1)]), C(6, [(2, 3)]), C(6, [(4, 5)])])
-        r = C(n + 2, [list(range(n))])
-        s = Permutation(tuple((n - i) % n for i in range(n)) + (n, n + 1))
-        t = C(n + 2, [(n, n + 1)])
-        return close([r, s, t])
-    if k == "A4":
-        return close([C(4, [(0, 1, 2)]), C(4, [(0, 1), (2, 3)])])
-    if k == "S4":
-        return close([C(4, [(0, 1)]), C(4, [(0, 1, 2, 3)])])
-    if k == "A5":
-        return close([C(5, [(0, 1, 2, 3, 4)]), C(5, [(0, 1, 2)])])
-    if k in ("A4xZ2", "S4xZ2", "A5xZ2"):
-        base = realize(GroupId.exceptional(k[:2]))
-        d = base.degree
-        lifted = [Permutation(p.image + (d, d + 1)) for p in base.generators]
-        lifted.append(C(d + 2, [(d, d + 1)]))
-        return close(lifted)
-    raise ValueError(f"no realization for {tag}")
-
-
-def candidate_tags(order: int) -> list[GroupId]:
-    """All canonical catalog tags with the given order, deterministic order."""
-    tags: list[GroupId] = []
-    if order == 1:
-        return [GroupId.trivial()]
-    tags.append(GroupId.cyclic(order))
-    if order == 4:
-        tags.append(GroupId.klein())
-    if order % 2 == 0 and order // 2 >= 3:
-        tags.append(GroupId.dihedral(order // 2))
-    if order % 4 == 0 and order // 2 >= 4:
-        tags.append(GroupId.cyclic_x_z2(order // 2))
-    if order % 8 == 0 and order // 4 >= 2:
-        tags.append(GroupId.dihedral_x_z2(order // 4))
-    for name, o in _EXCEPTIONAL_ORDERS.items():
-        if o == order:
-            tags.append(GroupId.exceptional(name))
-    return tags
-
-
-@lru_cache(maxsize=None)
-def _tag_signature(tag: GroupId) -> GroupSignature:
-    return signature(realize(tag))
+# the polyhedral rotation groups by (order, largest element order)
+_POLYHEDRAL = {(12, 3): "A4", (24, 4): "S4", (60, 5): "A5"}
 
 
 def identify(g: PermGroup) -> GroupId:
-    """Match a group against the catalog by its signature tuple.
-
-    Returns the canonical tag, or unrecognized(order) when no catalog
-    member of that order has the same signature.
-    """
+    """The catalog tag of a group of sphere symmetries, read off the split
+    of its signs (PreconditionError on a group without, as ``close`` makes).
+    The rotations R are cyclic, dihedral or polyhedral by |R| and their
+    largest element order.  The group is R, R x Z2 when a central involution
+    reverses orientation, or else the rotation group of twice the order
+    over R: Z2n or Dn over Zn, D2n over Dn, S4 over A4; or unrecognized."""
     sig = signature(g)
-    for tag in candidate_tags(g.order):
-        if _tag_signature(tag) == sig:
-            return tag
+    r, m = sig.rotations, sig.rotation_max_order
+    if 0 < r == m:
+        rot, rot_x_z2 = GroupId.cyclic(r), GroupId.cyclic_x_z2(r)
+        extension = GroupId.cyclic(2 * r) if sig.max_order == 2 * r else GroupId.dihedral(r)
+    elif 0 < 2 * m == r:
+        rot, rot_x_z2 = GroupId.dihedral(m), GroupId.dihedral_x_z2(m)
+        extension = GroupId.dihedral(2 * m)
+    elif (r, m) in _POLYHEDRAL:
+        name = _POLYHEDRAL[r, m]
+        rot, rot_x_z2 = GroupId.exceptional(name), GroupId.exceptional(name + "xZ2")
+        extension = GroupId.exceptional("S4") if name == "A4" else None
+    else:
+        return GroupId.unrecognized(g.order)
+    if g.order == r:
+        return rot
+    if g.order == 2 * r and (sig.central_reversal or extension is not None):
+        return rot_x_z2 if sig.central_reversal else extension
     return GroupId.unrecognized(g.order)

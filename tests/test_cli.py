@@ -243,6 +243,68 @@ def test_gen_and_parameter_errors(tmp_path, capsys):
     assert code == 2
 
 
+# the smallest parameters whose graph passes the bound of 10**5 vertices
+OVERSIZED = {
+    "gen wheel": (["gen", "wheel", "100000"], 100001),
+    "gen prism": (["gen", "prism", "50001"], 100002),
+    "gen antiprism": (["gen", "antiprism", "50001"], 100002),
+    "gen pretzel": (["gen", "pretzel", "50001"], 100002),
+    "gen ochain": (["gen", "ochain", "50000"], 100002),
+    # the 8334-wheel's second expansion (its first is skipped) has 12 * 8334
+    "family group": (["family", "--group", "D8334", "--count", "1", "--out", "fam"], 100008),
+    "family count": (["family", "--group", "D5", "--count", "8", "--out", "fam"], 131220),
+    # 5556-prism: 16,668 edges, then 50,004 edges and 100,008 vertices
+    "expand": (["expand", "prism5556.json", "-n", "2"], 100008),
+}
+
+
+def run_in_1gib(tmp_path, argv) -> subprocess.CompletedProcess:
+    """The CLI in a child limited to 1 GiB of address space, so that a
+    build too large for it fails the test instead of exhausting memory."""
+    script = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"import crushtacean.cli; raise SystemExit(crushtacean.cli.main({argv!r}))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_parameters_exit_two(tmp_path, case):
+    """Refused before anything that large is built."""
+    from crushtacean.families import MAX_VERTICES
+
+    argv, vertices = OVERSIZED[case]
+    assert MAX_VERTICES == 10**5 < vertices
+    if case == "expand":
+        write_graph(tmp_path, argv[1], prism(5556))
+    proc = run_in_1gib(tmp_path, argv)
+    want = f"error: the graph would have {vertices} vertices, more than {MAX_VERTICES}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+
+
+def test_gen_wheel_with_a_wide_hub(tmp_path):
+    """The 3-connectivity check of the embedding takes O(E) space whatever
+    the degrees: the 20000-wheel's hub meets 20000 faces (2 * 10**8 pairs
+    of them)."""
+    proc = run_in_1gib(tmp_path, ["gen", "wheel", "20000", "-o", "w.json"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    g, _rot = parse_graph((tmp_path / "w.json").read_text())
+    assert g.degree(20000) == 20000
+
+
+def test_expand_count_below_zero_exits_two(tmp_path, capsys):
+    path = write_graph(tmp_path, "w4.json", wheel(4))
+    code, out, err = run(capsys, "expand", path, "-n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: the number of expansions must be at least 0, got -1\n"
+    code, out, _ = run(capsys, "expand", path, "-n", "0")
+    assert code == 0 and parse_graph(out)[0] == wheel(4)
+
+
 def test_gen_reads_back(capsys):
     for name, param in [("borromean", None), ("wheel", 6), ("dodecahedron", None)]:
         argv = ["gen", name] + ([str(param)] if param else [])

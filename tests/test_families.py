@@ -17,6 +17,7 @@ from crushtacean import (
     validate_crushtacean,
 )
 from crushtacean.families import (
+    MAX_VERTICES,
     antiprism,
     cube,
     dodecahedron,
@@ -24,6 +25,7 @@ from crushtacean.families import (
     gamma_ochain,
     gamma_pretzel,
     prism,
+    require_expansions,
     tetrahedron,
     wheel,
 )
@@ -71,6 +73,19 @@ def test_family_parameter_bounds():
         prism(2)
     with pytest.raises(ValueError):
         antiprism(2)
+
+
+def test_vertex_bound_is_exact():
+    assert wheel(MAX_VERTICES - 1).vertex_count == MAX_VERTICES
+    with pytest.raises(PreconditionError, match=f"would have {MAX_VERTICES + 1} vertices"):
+        wheel(MAX_VERTICES)
+    require_expansions(prism(5555), 2)  # 2 * 3 * 16,665 = 99,990 vertices
+    with pytest.raises(PreconditionError, match="would have 100008 vertices"):
+        require_expansions(prism(5556), 2)
+    with pytest.raises(PreconditionError, match="would have 131220 vertices"):
+        generate_family(wheel(5), 8)  # depths 2-9: the first expansion is skipped
+    with pytest.raises(PreconditionError, match="at least 0"):
+        require_expansions(cube(), -1)
 
 
 def test_seed_constructors():

@@ -1,25 +1,52 @@
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crushtacean import CapExceededError, GroupId, Permutation, close, identify, signature
-from crushtacean.groups import candidate_tags, realize
+from crushtacean import (
+    CapExceededError,
+    GroupId,
+    Permutation,
+    PreconditionError,
+    automorphisms,
+    close,
+    cycle_expand,
+    identify,
+    signature,
+)
+from crushtacean.families import (
+    antiprism,
+    cube,
+    dodecahedron,
+    gamma_ochain,
+    prism,
+    tetrahedron,
+    wheel,
+)
 from helpers import (
     abstract_isomorphic,
+    candidate_tags,
+    catalog_identify,
+    catalog_signature,
+    chorded_cube,
     close_tuples,
+    from_cycles,
+    gyro,
     perm_compose,
     perm_inverse,
     perm_order,
     perm_order_by_powers,
+    realize,
+    twist,
 )
 
 
 def test_permutation_algebra():
-    p = Permutation.from_cycles(4, [(0, 1, 2)])
-    q = Permutation.from_cycles(4, [(2, 3)])
+    p = from_cycles(4, [(0, 1, 2)])
+    q = from_cycles(4, [(2, 3)])
     assert (p * q).image == tuple(p.image[q.image[i]] for i in range(4))
     assert (p * p.inverse()).is_identity()
     assert p.order() == 3
@@ -38,15 +65,15 @@ def test_perm_order_matches_repeated_composition():
 
 
 def test_close_small_groups():
-    rot = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+    rot = from_cycles(5, [(0, 1, 2, 3, 4)])
     assert close([rot]).order == 5
-    s4 = close([Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    s4 = close([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
     assert s4.order == 24
     assert len(set(s4.elements)) == 24
 
 
 def test_close_cap():
-    gens = [Permutation.from_cycles(6, [(0, 1)]), Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])]
+    gens = [from_cycles(6, [(0, 1)]), from_cycles(6, [(0, 1, 2, 3, 4, 5)])]
     with pytest.raises(CapExceededError):
         close(gens, cap=100)  # S6 has 720 elements
 
@@ -59,8 +86,8 @@ def test_s4_signature_against_independent_enumeration():
         oracle[perm_order(img)] += 1
     assert dict(oracle) == {1: 1, 2: 9, 3: 8, 4: 6}
 
-    s4 = close([Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])])
-    sig = signature(s4)
+    s4 = close([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
+    sig = catalog_signature(s4)
     assert sig.order == 24
     assert not sig.abelian
     assert sig.order_histogram == ((1, 1), (2, 9), (3, 8), (4, 6))
@@ -76,7 +103,7 @@ def test_d4_signature_against_explicit_square_symmetries():
     assert dict(oracle) == {1: 1, 2: 5, 4: 2}
 
     d4 = close([Permutation((1, 2, 3, 0)), Permutation((3, 2, 1, 0))])
-    sig = signature(d4)
+    sig = catalog_signature(d4)
     assert sig.order == 8
     assert sig.order_histogram == ((1, 1), (2, 5), (4, 2))
     assert sig.center_order == 2
@@ -89,10 +116,10 @@ def test_d4_signature_against_explicit_square_symmetries():
 @example([(1, 2, 3, 0, 4, 5), (3, 2, 1, 0, 4, 5), (0, 1, 2, 3, 5, 4)])  # D4xZ2
 @example([(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)])  # S4xZ2
 def test_signature_matches_brute_force(gens):
-    """Every signature field against all-pairs oracles: the centre from
-    every pair, the derived subgroup as the group generated by the
-    commutators of every pair (not the normal closure of the generators'
-    commutators that signature() computes)."""
+    """Every field of the catalog oracle's signature against all-pairs
+    oracles: the centre from every pair, the derived subgroup as the group
+    generated by the commutators of every pair (not the normal closure of
+    the generators' commutators that catalog_signature() computes)."""
     gens = [tuple(p) for p in gens]
     elems = close_tuples(gens)
     assume(len(elems) <= 120)  # the oracles take |G|^2 products
@@ -102,7 +129,7 @@ def test_signature_matches_brute_force(gens):
         perm_compose(perm_compose(a, b), perm_compose(inv[a], inv[b])) for a in elems for b in elems
     }
 
-    sig = signature(close([Permutation(p) for p in gens]))
+    sig = catalog_signature(close([Permutation(p) for p in gens]))
     assert sig.order == len(elems)
     assert sig.abelian == all(commute.values())
     assert sig.order_histogram == tuple(sorted(Counter(map(perm_order, elems)).items()))
@@ -146,27 +173,75 @@ def test_identify_round_trips_catalog(rng):
     for order in range(1, 49):
         for tag in candidate_tags(order):
             grp = realize(tag)
-            assert identify(grp) == tag, tag
+            assert catalog_identify(grp) == tag, tag
             # conjugating the generators must not change the answer
             deg = grp.degree
             img = list(range(deg))
             rng.shuffle(img)
             c = Permutation(tuple(img))
             conj = close([c * g * c.inverse() for g in grp.generators])
-            assert identify(conj) == tag, tag
+            assert catalog_identify(conj) == tag, tag
 
 
 def test_identify_unrecognized():
-    z3z3 = close([Permutation.from_cycles(6, [(0, 1, 2)]), Permutation.from_cycles(6, [(3, 4, 5)])])
-    gid = identify(z3z3)
+    z3z3 = close([from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(3, 4, 5)])])
+    gid = catalog_identify(z3z3)
     assert str(gid) == "U9"
     assert gid.order == 9
+    # signs no sphere symmetry group has: Z3xZ3 as "rotations" is no rotation group
+    assert identify(replace(z3z3, signs=(1,) * 9)) == gid
+
+
+def test_identify_refuses_a_group_without_signs():
+    s4 = close([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
+    for fn in (signature, identify):
+        with pytest.raises(PreconditionError):
+            fn(s4)
+
+
+def _top_bottom(n: int) -> list[set[int]]:
+    return [set(range(n)), set(range(n, 2 * n))]
+
+
+# (graph, painted, tag, |R|): one graph per kind of tag and per rule of the
+# split; the twisted and gyro graphs are chiral, so only rotations survive
+SPLIT_CASES = {
+    "tetrahedron": (tetrahedron(), False, "S4", 12),  # Td: A4 extended
+    "cube": (cube(), False, "S4xZ2", 24),
+    "dodecahedron": (dodecahedron(), False, "A5xZ2", 60),
+    "expanded dodecahedron": (cycle_expand(dodecahedron())[0], True, "A5xZ2", 60),
+    "wheel5": (wheel(5), False, "D5", 5),  # C5v: Z5 extended by reflections
+    "prism5": (prism(5), False, "D10", 10),  # D5h = D5 x Z2
+    "prism6": (prism(6), False, "D6xZ2", 12),
+    "antiprism4": (antiprism(4), False, "D8", 8),  # D4d: D4 extended
+    "ochain5": (gamma_ochain(5), True, "Z2xZ2", 2),
+    "twisted prism5 face": (twist(prism(5), _top_bottom(5)[:1], (False,)), False, "Z5", 5),
+    "twisted prism6 faces": (twist(prism(6), _top_bottom(6), (False, False)), False, "D6", 12),
+    "twisted prism4 faces": (twist(prism(4), _top_bottom(4), (False, True)), False, "Z4xZ2", 4),
+    "twisted prism5 faces": (twist(prism(5), _top_bottom(5), (False, True)), False, "Z10", 5),
+    "twisted antiprism4": (twist(antiprism(4), _top_bottom(4), (False, True)), False, "Z8", 4),
+    "gyro truncated tetrahedron": (gyro(cycle_expand(tetrahedron())[0]), False, "A4", 12),
+    "gyro cube": (gyro(cube()), False, "S4", 24),
+    "gyro dodecahedron": (gyro(dodecahedron()), False, "A5", 60),
+    "pyritohedral cube": (chorded_cube(3), False, "A4xZ2", 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_identify_reads_the_orientation_split(name):
+    """Each group's type from its sphere geometry, read off the split of
+    the automorphism signs and matched by the catalog oracle alike."""
+    g, painted, tag, rotations = SPLIT_CASES[name]
+    grp = automorphisms(g, painted)
+    assert str(identify(grp)) == tag
+    assert catalog_identify(grp) == identify(grp)
+    assert signature(grp).rotations == rotations
 
 
 def test_identify_agrees_with_brute_force_iso_oracle():
     """Same-order catalog groups are pairwise non-isomorphic by the brute
-    multiplication-table oracle, and identify() keeps them apart; a second
-    realization of the same group is recognized as the same."""
+    multiplication-table oracle, and catalog_identify() keeps them apart; a
+    second realization of the same group is recognized as the same."""
     order8 = [GroupId.cyclic(8), GroupId.dihedral(4), GroupId.cyclic_x_z2(4)]
     elem_sets = []
     for tag in order8:
@@ -175,20 +250,20 @@ def test_identify_agrees_with_brute_force_iso_oracle():
     for i in range(len(order8)):
         for j in range(i + 1, len(order8)):
             assert not abstract_isomorphic(elem_sets[i], elem_sets[j])
-            assert identify(realize(order8[i])) != identify(realize(order8[j]))
+            assert catalog_identify(realize(order8[i])) != catalog_identify(realize(order8[j]))
 
     # positive control: S3 on 3 points vs the catalog dihedral(3) realization
-    s3 = close([Permutation.from_cycles(3, [(0, 1)]), Permutation.from_cycles(3, [(0, 1, 2)])])
+    s3 = close([from_cycles(3, [(0, 1)]), from_cycles(3, [(0, 1, 2)])])
     d3 = realize(GroupId.dihedral(3))
     assert abstract_isomorphic({p.image for p in s3.elements}, {p.image for p in d3.elements})
-    assert identify(s3) == GroupId.dihedral(3)
+    assert catalog_identify(s3) == GroupId.dihedral(3)
 
 
 def test_identify_klein_vs_z4():
-    klein = close([Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(2, 3)])])
-    z4 = close([Permutation.from_cycles(4, [(0, 1, 2, 3)])])
-    assert identify(klein) == GroupId.klein()
-    assert identify(z4) == GroupId.cyclic(4)
+    klein = close([from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])])
+    z4 = close([from_cycles(4, [(0, 1, 2, 3)])])
+    assert catalog_identify(klein) == GroupId.klein()
+    assert catalog_identify(z4) == GroupId.cyclic(4)
     assert not abstract_isomorphic(
         {p.image for p in klein.elements}, {p.image for p in z4.elements}
     )

@@ -9,6 +9,7 @@ reproducible.
 
 import json
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -46,6 +47,7 @@ from crushtacean.families import (
 from crushtacean.graphs import check_3_connected
 from helpers import (
     brute_automorphism_count,
+    catalog_identify,
     flip_block,
     hung_blocks,
     mirror,
@@ -129,12 +131,41 @@ NAMED = {
 )
 def test_search_matches_the_full_flag_scan(rng, kind, n, expanded, painted):
     """Skipping the flags the maps found so far reach gives the group of
-    the full scan: the same sorted elements and greedy generators."""
+    the full scan: the same sorted elements, greedy generators and signs."""
     g = random_crushtacean(rng, n) if kind == "crushtacean" else NAMED[kind](n)
     if expanded:
         g = cycle_expand(g)[0]
     g = relabel(g, shuffled(rng, g.vertex_count))
     assert automorphisms(g, painted) == scan_automorphisms(g, painted)
+
+
+@PROPERTY
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["crushtacean", *sorted(NAMED)]),
+    n=st.integers(3, 12),
+    expanded=st.booleans(),
+    relabelled=st.booleans(),
+)
+def test_identify_matches_the_catalog_oracle(rng, kind, n, expanded, relabelled):
+    """The type read off the orientation split equals the catalog oracle's
+    on the same group, painted and unpainted.  Each sign is that of the
+    flag the full scan extended to reach the element, and mirroring the
+    rotation changes none."""
+    g = random_crushtacean(rng, n) if kind == "crushtacean" else NAMED[kind](n)
+    if expanded:
+        g = cycle_expand(g)[0]
+    if relabelled:
+        g = relabel(g, shuffled(rng, g.vertex_count))
+    mirrored = replace(g, rotation=mirror(g.embedding.rotation))
+    for painted in (False, True):
+        grp = automorphisms(g, painted)
+        assert identify(grp) == catalog_identify(grp)
+        signs = dict(zip(grp.elements, grp.signs))
+        scan = scan_automorphisms(g, painted)
+        assert dict(zip(scan.elements, scan.signs)) == signs
+        flipped = automorphisms(mirrored, painted)
+        assert dict(zip(flipped.elements, flipped.signs)) == signs
 
 
 @PROPERTY
