@@ -40,6 +40,8 @@ def require_expansions(g: PaintedGraph, times: int) -> None:
         raise PreconditionError(f"the number of expansions must be at least 0, got {times}")
     edges = g.edge_count
     for _ in range(times):
+        if edges == 0:
+            break  # nothing to grow: cycle_expand refuses the graph itself
         _require_vertices(2 * edges)
         edges *= 3
 
@@ -168,6 +170,7 @@ def dodecahedron() -> PaintedGraph:
 
 
 def _seed_candidates(target: GroupId) -> list[tuple[str, PaintedGraph]]:
+    """The catalog seeds that may realize the target, unverified."""
     cands: list[tuple[str, PaintedGraph]] = []
     kind, n = target.kind, target.n
     if kind == "dihedral" and n >= 4:
@@ -193,11 +196,11 @@ def seed_catalog(target: GroupId) -> list[tuple[str, PaintedGraph]]:
     """Seeds whose full automorphism group realizes the target; every
     candidate is re-verified through the automorphism engine before being
     returned, so a miss yields an empty list."""
-    return [(name, g) for name, g in _seed_candidates(target) if _realizes(g, target)]
-
-
-def _realizes(g: PaintedGraph, target: GroupId) -> bool:
-    return identify(automorphisms(g, respect_painting=False)) == target
+    return [
+        (name, g)
+        for name, g in _seed_candidates(target)
+        if identify(automorphisms(g, respect_painting=False)) == target
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +326,13 @@ def generate_family(
 def family_from_target(
     target: GroupId, count: int, *, verify: bool = True
 ) -> tuple[str, tuple[FamilyMember, ...]]:
-    """Expand the first catalog seed that realizes the target group; each
-    candidate's family size is checked before its automorphism search."""
-    for name, seed in _seed_candidates(target):
-        _require_family(seed, count)
-        if _realizes(seed, target):
-            return name, generate_family(seed, count, verify=verify)
-    raise CatalogMissError(f"no catalog seed with symmetry group {target}")
+    """Pick a catalog seed realizing the target group and expand it.  Every
+    candidate's family size is checked before any automorphism search."""
+    for _name, seed in _seed_candidates(target):
+        # generate_family refuses a count below 1 itself
+        require_expansions(seed, max(count, 0) + has_universal_region(seed))
+    seeds = seed_catalog(target)
+    if not seeds:
+        raise CatalogMissError(f"no catalog seed with symmetry group {target}")
+    name, seed = seeds[0]
+    return name, generate_family(seed, count, verify=verify)

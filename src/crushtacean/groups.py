@@ -347,8 +347,6 @@ class GroupId:
         return aliases.get(self.kind)
 
 
-
-
 # ---------------------------------------------------------------------------
 # identification from the orientation split
 # ---------------------------------------------------------------------------

@@ -296,6 +296,15 @@ def test_gen_wheel_with_a_wide_hub(tmp_path):
     assert g.degree(20000) == 20000
 
 
+def test_expand_edgeless_graph_with_a_huge_count_exits_two(tmp_path):
+    (tmp_path / "one.json").write_text(
+        '{"format": "painted-graph/1", "vertices": 1, "edges": [], "painted": []}'
+    )
+    proc = run_in_1gib(tmp_path, ["expand", "one.json", "-n", str(10**12)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+
+
 def test_expand_count_below_zero_exits_two(tmp_path, capsys):
     path = write_graph(tmp_path, "w4.json", wheel(4))
     code, out, err = run(capsys, "expand", path, "-n", "-1")

@@ -10,12 +10,14 @@ from crushtacean import (
     family_from_target,
     generate_family,
     identify,
+    PaintedGraph,
     painted_graph,
     planar_embed,
     seed_catalog,
     serialize_graph,
     validate_crushtacean,
 )
+from crushtacean import families
 from crushtacean.families import (
     MAX_VERTICES,
     antiprism,
@@ -86,6 +88,13 @@ def test_vertex_bound_is_exact():
         generate_family(wheel(5), 8)  # depths 2-9: the first expansion is skipped
     with pytest.raises(PreconditionError, match="at least 0"):
         require_expansions(cube(), -1)
+
+
+def test_require_expansions_returns_on_an_edgeless_graph():
+    """painted_graph refuses edgeless graphs, but one built directly must not
+    keep the count check looping: nothing grows, so it returns at once and
+    cycle_expand gives the verdict."""
+    require_expansions(PaintedGraph(1, (), ()), 10**12)
 
 
 def test_seed_constructors():
@@ -191,6 +200,18 @@ def test_family_from_target():
     assert identify(automorphisms(members[0].graph, respect_painting=True)) == GroupId.dihedral(6)
 
 
+def test_family_from_target_verifies_through_seed_catalog(monkeypatch):
+    calls = []
+
+    def counted(target):
+        calls.append(target)
+        return seed_catalog(target)
+
+    monkeypatch.setattr(families, "seed_catalog", counted)
+    assert family_from_target(GroupId.dihedral(5), 1)[0] == "wheel5"
+    assert calls == [GroupId.dihedral(5)]
+
+
 def test_family_from_target_miss():
     with pytest.raises(CatalogMissError):
         family_from_target(GroupId.cyclic(7), 1)
@@ -199,3 +220,6 @@ def test_family_from_target_miss():
 def test_generate_family_rejects_bad_count():
     with pytest.raises(ValueError):
         generate_family(prism(6), 0)
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="count must be positive"):
+            family_from_target(GroupId.dihedral(5), count)
