@@ -7,20 +7,20 @@ entry points fix a base dart, try each flag whose invariant matches it
 (edge class, end degrees, the sizes of the two faces beside the dart,
 swapped for sign -1) and extend it by breadth-first search over the
 rotation system, checking every edge and its class, in O(E) steps.  The
-automorphism search skips each flag that the group generated by the maps
-found so far already sends the base flag to, as in a Schreier-Sims orbit
-walk (Sims 1970): each map it finds at least doubles that group, so at
-most floor(log2 |G|) flags succeed.
+automorphism group acts freely on the flags: it is the orbit of the base
+flag under the maps found, each moving a flag by one lookup in its dart
+map (built in O(E)).  Only flags outside that orbit are extended, so at
+most floor(log2 |G|) succeed; the orbit's Schreier tree gives each
+element by one image product (Sims 1970).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 from .errors import CapExceededError
 from .graphs import PaintedGraph
-from .groups import DEFAULT_CAP, Image, PermGroup, Permutation, _closure, from_elements
+from .groups import DEFAULT_CAP, Image, PermGroup, Permutation
 
 
 class _Darts:
@@ -85,46 +85,60 @@ def _extend(a: _Darts, b: _Darts, base: int, image: int, sign: int) -> tuple[int
     return tuple(vmap)
 
 
+def _grow(reached: dict, moves: list, move: tuple) -> None:
+    """Add a move (dart map, sign, image) to ``moves`` and grow their orbit
+    ``reached``, which maps each flag, in order, to (j, k): it is move k of
+    flag j.  Old flags need only the new move, new flags every move."""
+    moves.append(move)
+    queue = list(reached)
+    old = len(queue)
+    for i, (d, s) in enumerate(queue):
+        for k in range(len(moves) - 1 if i < old else 0, len(moves)):
+            f = (moves[k][0][d], moves[k][1] * s)
+            if f not in reached:
+                reached[f] = (i, k)
+                queue.append(f)
+
+
 def automorphisms(
     g: PaintedGraph, respect_painting: bool = False, cap: int = DEFAULT_CAP
 ) -> PermGroup:
-    """The automorphism group of g (painted edges preserved when asked),
-    closed from the maps of the candidate flags that the maps found before
-    do not reach: at most floor(log2 |G|) of them.  Each element carries
-    the sign of the base flag's image: +1 when it keeps the rotations.
+    """The automorphism group of g (painted edges preserved when asked), read
+    off the orbit of the base flag: O(E) per map found, then |G| image
+    products.  Each element carries the sign of its flag, +1 when it keeps
+    the rotations.  The generators are greedy: each element, in sorted
+    order, whose flag the ones chosen before it do not reach.
 
     Raises NonplanarError or PreconditionError unless g is planar and
     3-connected, and CapExceededError when there are more than ``cap`` maps.
     """
     darts = _Darts(g, respect_painting)
     base = darts.base()
-    tail, rev = darts.tail, darts.rev
-    dart_at = {(tail[d], tail[r]): d for d, r in enumerate(rev)}
-    v, w, u = tail[base], tail[rev[base]], tail[rev[darts.nxt[base]]]
+    ends = [(t, darts.tail[r]) for t, r in zip(darts.tail, darts.rev)]
+    dart_at = {e: d for d, e in enumerate(ends)}
 
-    def flag(p: Image) -> tuple[int, int]:  # the image of the base flag
-        d = dart_at[p[v], p[w]]
-        return d, 1 if dart_at[p[v], p[u]] == darts.nxt[d] else -1
+    def move(p: Image, sign: int) -> tuple[list[int], int, Image]:
+        return [dart_at[p[t], p[h]] for t, h in ends], sign, p
 
-    too_many = f"automorphism count exceeded cap of {cap}"
-    gens: list[Image] = []
-    span = {tuple(range(g.vertex_count))}
-    reached = {(base, 1)}
+    reached, moves = {(base, 1): None}, []  # the orbit, as _grow keeps it
     for image, sign in darts.flags(darts.keys[1][base]):
-        if (image, sign) in reached:
-            continue
-        perm = _extend(darts, darts, base, image, sign)
-        if perm is not None:
-            gens.append(Permutation(perm).image)
-            try:
-                span = _closure(g.vertex_count, gens, cap=cap)
-            except CapExceededError:
-                raise CapExceededError(too_many) from None
-            reached = set(map(flag, span))
-    if len(span) > cap:  # the identity alone, with cap < 1
-        raise CapExceededError(too_many)
-    grp = from_elements(map(Permutation, span), g.vertex_count)
-    return replace(grp, signs=tuple(flag(p.image)[1] for p in grp.elements))
+        if (image, sign) not in reached:
+            perm = _extend(darts, darts, base, image, sign)
+            if perm is not None:
+                _grow(reached, moves, move(Permutation(perm).image, sign))
+    if len(reached) > cap:
+        raise CapExceededError(f"automorphism count exceeded cap of {cap}")
+    flags, images = list(reached), [tuple(range(g.vertex_count))]
+    for j, k in list(reached.values())[1:]:
+        images.append(tuple(map(moves[k][2].__getitem__, images[j])))
+    order = sorted(range(len(images)), key=images.__getitem__)
+    elements = tuple(Permutation(images[i]) for i in order)
+    gens, span, span_moves = [], {(base, 1): None}, []  # greedy, and their orbit
+    for p, i in zip(elements, order):
+        if flags[i] not in span:
+            gens.append(p)
+            _grow(span, span_moves, move(p.image, flags[i][1]))
+    return PermGroup(g.vertex_count, tuple(gens), elements, tuple(flags[i][1] for i in order))
 
 
 def find_isomorphism(

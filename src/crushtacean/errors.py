@@ -24,7 +24,7 @@ class PreconditionError(CrushtaceanError):
 
 
 class CapExceededError(CrushtaceanError):
-    """Raised when a group closure grows past the element cap."""
+    """Raised when a group grows past its element cap."""
 
 
 class CatalogMissError(CrushtaceanError):

@@ -267,13 +267,11 @@ def cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, Rotation]:
 # ---------------------------------------------------------------------------
 
 
-def _require_family(seed: PaintedGraph, count: int) -> bool:
-    """Check the family's size; whether it skips the first expansion."""
+def _require_family(seed: PaintedGraph, count: int) -> None:
+    """Check the family's size."""
     if count < 1:
         raise ValueError("count must be positive")
-    skip_first = has_universal_region(seed)
-    require_expansions(seed, count + skip_first)
-    return skip_first
+    require_expansions(seed, count + has_universal_region(seed))
 
 
 @dataclass(frozen=True)
@@ -301,8 +299,15 @@ def generate_family(
     seed's.  Raises PreconditionError, before any expansion, when the last
     member would have more than MAX_VERTICES vertices.
     """
-    skip_first = _require_family(seed, count)
+    _require_family(seed, count)
     target = identify(automorphisms(seed, respect_painting=False)) if verify else None
+    return _members(seed, count, target)
+
+
+def _members(seed: PaintedGraph, count: int, target: GroupId | None) -> tuple[FamilyMember, ...]:
+    """The members of ``generate_family`` once its checks pass, each checked
+    against the seed's group ``target`` unless that is None."""
+    skip_first = has_universal_region(seed)
     members: list[FamilyMember] = []
     cur = seed
     depth = 0
@@ -311,7 +316,7 @@ def generate_family(
         nxt, nxt_rot = cycle_expand(cur)
         depth += 1
         if not (depth == 1 and skip_first):
-            if verify:
+            if target is not None:
                 report = validate_crushtacean(nxt)
                 if not report.valid:
                     raise RuntimeError(f"expansion invalid: {report.reasons}")
@@ -326,13 +331,12 @@ def generate_family(
 def family_from_target(
     target: GroupId, count: int, *, verify: bool = True
 ) -> tuple[str, tuple[FamilyMember, ...]]:
-    """Pick a catalog seed realizing the target group and expand it.  Every
-    candidate's family size is checked before any automorphism search."""
+    """Expand the first catalog seed realizing the target, the members checked
+    against it; every candidate's family size is checked before any search."""
     for _name, seed in _seed_candidates(target):
-        # generate_family refuses a count below 1 itself
-        require_expansions(seed, max(count, 0) + has_universal_region(seed))
+        _require_family(seed, count)
     seeds = seed_catalog(target)
     if not seeds:
         raise CatalogMissError(f"no catalog seed with symmetry group {target}")
     name, seed = seeds[0]
-    return name, generate_family(seed, count, verify=verify)
+    return name, _members(seed, count, target if verify else None)

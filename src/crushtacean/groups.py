@@ -1,13 +1,13 @@
 """Finite permutation groups, their orientation split, and identification.
 
-Groups are stored as explicit element lists (desk scale, closure capped).
-Inside this module products compose bare image tuples; a Permutation, and
-so its bijection check, is built once per group element.  The automorphism
-group of a 3-connected planar graph acts on the sphere as a finite
-subgroup of O(3) (Mani 1971), and ``automorphisms`` signs each element +1
-or -1 as it keeps or reverses the rotations.  The group's catalog tag
-(cyclic, dihedral, those times Z2, Klein, or one of the six polyhedral
-types) is read off that split.
+Groups are stored as explicit element lists (desk scale, capped), read off
+a flag orbit by ``automorphisms`` or closed by ``close``.  Products compose
+bare image tuples; a Permutation (its bijection check) is built once per
+group element.  The automorphism group of a 3-connected planar graph acts
+on the sphere as a finite subgroup of O(3) (Mani 1971), and
+``automorphisms`` signs each element +1 or -1 as it keeps or reverses the
+rotations.  The group's catalog tag (cyclic, dihedral, those times Z2,
+Klein, or one of the six polyhedral types) is read off that split.
 """
 
 from __future__ import annotations
@@ -128,24 +128,6 @@ def close(
             raise ValueError("mixed degrees in generator list")
     elements = _closure(degree, [p.image for p in gens], cap=cap)
     return PermGroup(degree, gens, tuple(Permutation(x) for x in sorted(elements)))
-
-
-def from_elements(elements: Iterable[Permutation], degree: int) -> PermGroup:
-    """The group whose elements (all of them) are given, in sorted order.
-
-    Its generators are greedy: each element, in sorted order, that the
-    ones chosen before it do not generate.
-    """
-    ordered = tuple(sorted(elements))
-    gens: list[Permutation] = []
-    span = {tuple(range(degree))}
-    for p in ordered:
-        if len(span) == len(ordered):
-            break
-        if p.image not in span:
-            gens.append(p)
-            span = _closure(degree, [q.image for q in gens])
-    return PermGroup(degree, tuple(gens), ordered)
 
 
 class GroupSignature(NamedTuple):

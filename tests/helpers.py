@@ -6,8 +6,9 @@ try all vertex permutations, and the random crushtacean corpus is built
 by dualizing stacked triangulations (always simple, cubic, planar and
 3-connected) and painting a maximum matching.  Two references reuse
 library parts: ``scan_automorphisms``, the engine's own flag extension
-run over every candidate flag, is the reference for the search that
-skips flags; and the catalog oracle (``realize``, ``candidate_tags``,
+run over every candidate flag, with generators from ``from_elements``
+(each span closed from scratch), is the reference for the flag-orbit
+search; and the catalog oracle (``realize``, ``candidate_tags``,
 ``catalog_identify``) matches any permutation group against concrete
 realizations of every catalog tag by centre and derived subgroup, the
 reference for the orientation-split ``identify``.
@@ -40,7 +41,7 @@ from crushtacean import (
     planar_embed,
 )
 from crushtacean.automorphism import _Darts, _extend
-from crushtacean.groups import DEFAULT_CAP, from_elements
+from crushtacean.groups import DEFAULT_CAP
 
 
 def nx_graph(g: PaintedGraph) -> nx.Graph:
@@ -522,12 +523,29 @@ def catalog_identify(g: PermGroup) -> GroupId:
     return GroupId.unrecognized(g.order)
 
 
+def from_elements(elements, degree: int) -> PermGroup:
+    """The group whose elements (all of them) are given, in sorted order,
+    with greedy generators: each element, in sorted order, that the ones
+    chosen before it do not generate (their span closed from scratch)."""
+    ordered = tuple(sorted(elements))
+    gens: list[Permutation] = []
+    span = {tuple(range(degree))}
+    for p in ordered:
+        if len(span) == len(ordered):
+            break
+        if p.image not in span:
+            gens.append(p)
+            span = close_tuples([q.image for q in gens])
+    return PermGroup(degree, tuple(gens), ordered)
+
+
 def scan_automorphisms(
     g: PaintedGraph, respect_painting: bool = False, cap: int = DEFAULT_CAP
 ) -> PermGroup:
     """``automorphisms`` by extending every candidate flag of the base dart:
     the flags that survive are the maps themselves, each with the sign of
-    its flag, so no closure is needed.  Raises like ``automorphisms``."""
+    its flag, and ``from_elements`` picks the greedy generators by closing
+    spans of image tuples.  Raises like ``automorphisms``."""
     darts = _Darts(g, respect_painting)
     base = darts.base()
     found: dict[Permutation, int] = {}  # each map with the sign of its flag

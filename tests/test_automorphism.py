@@ -5,6 +5,7 @@ from crushtacean import (
     automorphism,
     automorphisms,
     find_isomorphism,
+    groups,
     painted_graph,
     relabel,
 )
@@ -169,6 +170,11 @@ def test_cap_exceeded(rng):
                     automorphisms(g, painted, cap=cap)
                 assert str(info.value) == f"automorphism count exceeded cap of {cap}"
             assert automorphisms(g, painted, cap=order).order == order
+    big = prism(200)  # 800 maps, the cap reached by the orbit of the base flag
+    with pytest.raises(CapExceededError) as info:
+        automorphisms(big, cap=799)
+    assert str(info.value) == "automorphism count exceeded cap of 799"
+    assert automorphisms(big, cap=800).order == 800
 
 
 EXTENSION_CASES = {
@@ -186,7 +192,8 @@ EXTENSION_CASES = {
 def test_extensions_stay_within_log2_of_the_order(name, painted, monkeypatch):
     """Each flag extended succeeds here and at least doubles the group found
     so far, so a search that skips reached flags extends at most
-    floor(log2 |G|) of them; a full scan extends all |G|."""
+    floor(log2 |G|) of them; a full scan extends all |G|.  The group is the
+    orbit of the base flag: no span of image tuples is closed."""
     make, order = EXTENSION_CASES[name]
     calls = []
     extend = automorphism._extend
@@ -195,6 +202,10 @@ def test_extensions_stay_within_log2_of_the_order(name, painted, monkeypatch):
         calls.append(args)
         return extend(*args)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphisms closed a span")
+
     monkeypatch.setattr(automorphism, "_extend", counting)
+    monkeypatch.setattr(groups, "_closure", refuse)
     assert automorphisms(make(), painted).order == order
     assert 1 <= len(calls) <= order.bit_length() - 1  # floor(log2 order)

@@ -212,6 +212,22 @@ def test_family_from_target_verifies_through_seed_catalog(monkeypatch):
     assert calls == [GroupId.dihedral(5)]
 
 
+@pytest.mark.parametrize("target, count", [(GroupId.dihedral(5), 1), (GroupId.dihedral(6), 2)])
+def test_family_from_target_searches_each_group_once(target, count, monkeypatch):
+    """One unpainted search per candidate seed, in seed_catalog, and one
+    painted search per member; the seed's group is not searched again."""
+    calls = []
+
+    def counted(g, respect_painting=False):
+        calls.append(respect_painting)
+        return automorphisms(g, respect_painting)
+
+    monkeypatch.setattr(families, "automorphisms", counted)
+    _name, members = family_from_target(target, count)
+    assert len(members) == count
+    assert calls == [False] * len(families._seed_candidates(target)) + [True] * count
+
+
 def test_family_from_target_miss():
     with pytest.raises(CatalogMissError):
         family_from_target(GroupId.cyclic(7), 1)

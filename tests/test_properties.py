@@ -139,6 +139,23 @@ def test_search_matches_the_full_flag_scan(rng, kind, n, expanded, painted):
     assert automorphisms(g, painted) == scan_automorphisms(g, painted)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["prism", "wheel"]),
+    n=st.integers(3, 200),
+    painted=st.booleans(),
+)
+@example(rng=random.Random(0), kind="prism", n=200, painted=False)
+@example(rng=random.Random(0), kind="wheel", n=200, painted=False)
+def test_large_groups_match_the_full_flag_scan(rng, kind, n, painted):
+    """The flag orbit gives the full scan's group on prisms and wheels of up
+    to 800 automorphisms: the same elements, generators and signs."""
+    g = NAMED[kind](n)
+    g = relabel(g, shuffled(rng, g.vertex_count))
+    assert automorphisms(g, painted) == scan_automorphisms(g, painted)
+
+
 @PROPERTY
 @given(
     rng=RNG,
