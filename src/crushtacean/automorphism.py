@@ -10,17 +10,20 @@ rotation system, checking every edge and its class, in O(E) steps.  The
 automorphism group acts freely on the flags: it is the orbit of the base
 flag under the maps found, each moving a flag by one lookup in its dart
 map (built in O(E)).  Only flags outside that orbit are extended, so at
-most floor(log2 |G|) succeed; the orbit's Schreier tree gives each
-element by one image product (Sims 1970).
+most floor(log2 |G|) succeed.  The group is returned as that orbit's
+Schreier tree (Sims 1970) over the maps found, with the base flag's three
+vertices as its base; vertex images are built only when asked.  The dart
+arrays are kept on the graph, once per painting flag.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 from .errors import CapExceededError
 from .graphs import PaintedGraph
-from .groups import DEFAULT_CAP, Image, PermGroup, Permutation
+from .groups import DEFAULT_CAP, PermGroup, Permutation
 
 
 class _Darts:
@@ -48,6 +51,7 @@ class _Darts:
         }
         self.shape = (g.vertex_count, g.edge_count, sum(self.cls), tuple(sorted(size)))
 
+    @cached_property
     def base(self) -> int:
         """The dart whose invariant the fewest flags share."""
         count = Counter(self.keys[1] + self.keys[-1])
@@ -55,6 +59,13 @@ class _Darts:
 
     def flags(self, key: tuple) -> list[tuple[int, int]]:
         return [(d, s) for d in range(len(self.tail)) for s in (1, -1) if self.keys[s][d] == key]
+
+
+def _darts(g: PaintedGraph, respect_painting: bool) -> _Darts:
+    """The dart arrays of g, built once per graph and painting flag."""
+    if respect_painting not in g.dart_arrays:
+        g.dart_arrays[respect_painting] = _Darts(g, respect_painting)
+    return g.dart_arrays[respect_painting]
 
 
 def _extend(a: _Darts, b: _Darts, base: int, image: int, sign: int) -> tuple[int, ...] | None:
@@ -85,10 +96,11 @@ def _extend(a: _Darts, b: _Darts, base: int, image: int, sign: int) -> tuple[int
     return tuple(vmap)
 
 
-def _grow(reached: dict, moves: list, move: tuple) -> None:
-    """Add a move (dart map, sign, image) to ``moves`` and grow their orbit
+def _grow(reached: dict, moves: list, move: tuple, cap: int) -> None:
+    """Add a move (dart map, sign) to ``moves`` and grow their orbit
     ``reached``, which maps each flag, in order, to (j, k): it is move k of
-    flag j.  Old flags need only the new move, new flags every move."""
+    flag j.  Old flags need only the new move, new flags every move; past
+    ``cap`` flags it raises CapExceededError."""
     moves.append(move)
     queue = list(reached)
     old = len(queue)
@@ -98,47 +110,36 @@ def _grow(reached: dict, moves: list, move: tuple) -> None:
             if f not in reached:
                 reached[f] = (i, k)
                 queue.append(f)
+                if len(queue) > cap:
+                    raise CapExceededError(f"automorphism count exceeded cap of {cap}")
 
 
 def automorphisms(
     g: PaintedGraph, respect_painting: bool = False, cap: int = DEFAULT_CAP
 ) -> PermGroup:
-    """The automorphism group of g (painted edges preserved when asked), read
-    off the orbit of the base flag: O(E) per map found, then |G| image
-    products.  Each element carries the sign of its flag, +1 when it keeps
-    the rotations.  The generators are greedy: each element, in sorted
-    order, whose flag the ones chosen before it do not reach.
-
-    Raises NonplanarError or PreconditionError unless g is planar and
-    3-connected, and CapExceededError when there are more than ``cap`` maps.
-    """
-    darts = _Darts(g, respect_painting)
-    base = darts.base()
-    ends = [(t, darts.tail[r]) for t, r in zip(darts.tail, darts.rev)]
+    """The automorphism group of g (painted edges preserved when asked), as
+    the orbit of the base flag, O(E) per map found: its base is the base
+    dart's tail v0, its head, and v0's next neighbour in the rotation, and
+    each element carries the sign of its flag, +1 when it keeps the
+    rotations.  Raises NonplanarError or PreconditionError unless g is
+    planar and 3-connected, and CapExceededError as soon as the orbit
+    holds more than ``cap`` maps."""
+    darts = _darts(g, respect_painting)
+    base, tail, rev = darts.base, darts.tail, darts.rev
+    if cap < 1:
+        raise CapExceededError(f"automorphism count exceeded cap of {cap}")
+    ends = [(t, tail[r]) for t, r in zip(tail, rev)]
     dart_at = {e: d for d, e in enumerate(ends)}
-
-    def move(p: Image, sign: int) -> tuple[list[int], int, Image]:
-        return [dart_at[p[t], p[h]] for t, h in ends], sign, p
-
-    reached, moves = {(base, 1): None}, []  # the orbit, as _grow keeps it
+    reached, moves, images = {(base, 1): None}, [], []  # the orbit, as _grow keeps it
     for image, sign in darts.flags(darts.keys[1][base]):
         if (image, sign) not in reached:
             perm = _extend(darts, darts, base, image, sign)
             if perm is not None:
-                _grow(reached, moves, move(Permutation(perm).image, sign))
-    if len(reached) > cap:
-        raise CapExceededError(f"automorphism count exceeded cap of {cap}")
-    flags, images = list(reached), [tuple(range(g.vertex_count))]
-    for j, k in list(reached.values())[1:]:
-        images.append(tuple(map(moves[k][2].__getitem__, images[j])))
-    order = sorted(range(len(images)), key=images.__getitem__)
-    elements = tuple(Permutation(images[i]) for i in order)
-    gens, span, span_moves = [], {(base, 1): None}, []  # greedy, and their orbit
-    for p, i in zip(elements, order):
-        if flags[i] not in span:
-            gens.append(p)
-            _grow(span, span_moves, move(p.image, flags[i][1]))
-    return PermGroup(g.vertex_count, tuple(gens), elements, tuple(flags[i][1] for i in order))
+                images.append(Permutation(perm).image)
+                _grow(reached, moves, ([dart_at[perm[t], perm[h]] for t, h in ends], sign), cap)
+    v0, v1, w = tail[base], tail[rev[base]], tail[rev[darts.nxt[base]]]
+    tree, signs = tuple(reached.values())[1:], tuple(s for _d, s in reached)
+    return PermGroup(g.vertex_count, (v0, v1, w), tuple(images), tree, signs)
 
 
 def find_isomorphism(
@@ -146,10 +147,10 @@ def find_isomorphism(
 ) -> Permutation | None:
     """A painted-graph isomorphism g1 -> g2, or None; the same inputs give
     the same map every run.  Raises like :func:`automorphisms`."""
-    a, b = _Darts(g1, respect_painting), _Darts(g2, respect_painting)
+    a, b = _darts(g1, respect_painting), _darts(g2, respect_painting)
     if a.shape != b.shape:  # sizes, painted count, sorted face sizes
         return None
-    base = a.base()
+    base = a.base
     for image, sign in b.flags(a.keys[1][base]):
         perm = _extend(a, b, base, image, sign)
         if perm is not None:

@@ -85,6 +85,11 @@ class PaintedGraph:
         return faces(self, self.rotation)
 
     @cached_property
+    def dart_arrays(self) -> dict:
+        """The automorphism search's dart arrays, by painting flag."""
+        return {}
+
+    @cached_property
     def painted_set(self) -> frozenset[int]:
         return frozenset(self.painted)
 

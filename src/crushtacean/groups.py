@@ -1,20 +1,23 @@
 """Finite permutation groups, their orientation split, and identification.
 
-Groups are stored as explicit element lists (desk scale, capped), read off
-a flag orbit by ``automorphisms`` or closed by ``close``.  Products compose
-bare image tuples; a Permutation (its bijection check) is built once per
-group element.  The automorphism group of a 3-connected planar graph acts
-on the sphere as a finite subgroup of O(3) (Mani 1971), and
-``automorphisms`` signs each element +1 or -1 as it keeps or reverses the
-rotations.  The group's catalog tag (cyclic, dihedral, those times Z2,
-Klein, or one of the six polyhedral types) is read off that split.
+A group is held as a Schreier tree (Sims 1970) whose base only the identity
+fixes: for ``automorphisms`` the three vertices of the base flag (Weinberg
+1966), for ``close`` every point.  Vertex images are products of bare image
+tuples, and the sorted elements and greedy generators are built only when
+asked.  The automorphism group of a 3-connected planar graph acts on the
+sphere as a finite subgroup of O(3) (Mani 1971), and ``automorphisms`` signs
+each element +1 or -1 as it keeps or reverses the rotations.  The group's
+catalog tag (cyclic, dihedral, those times Z2, Klein, or one of the six
+polyhedral types) is read off that split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
-from typing import Collection, Iterable, NamedTuple
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, PreconditionError
 
@@ -31,63 +34,73 @@ class Permutation:
         if set(self.image) != set(range(len(self.image))):
             raise ValueError("image is not a bijection of 0..n-1")
 
-    @property
-    def degree(self) -> int:
-        return len(self.image)
-
     def __call__(self, i: int) -> int:
         return self.image[i]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (p * q)(x) = p(q(x))."""
-        return Permutation(tuple(map(self.image.__getitem__, other.image)))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.image))
-
-    def order(self) -> int:
-        """Least common multiple of the cycle lengths."""
-        out = 1
-        seen = [False] * len(self.image)
-        for i in range(len(self.image)):
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j]
-                length += 1
-            if length:
-                out = lcm(out, length)
-        return out
-
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
+Image = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A permutation group with all its elements, in sorted order.  A group
-    of sphere symmetries also carries one sign per element, aligned with
-    ``elements``: +1 keeps the orientation, -1 reverses it."""
+    """A permutation group as a Schreier tree: element 0 is the identity,
+    element i is moves[k] after element j for (j, k) = tree[i - 1], and only
+    the identity fixes every point of ``base``.  Sphere symmetries are also
+    signed in that order, +1 where they keep the orientation.  The sorted
+    elements, their signs and the greedy generators are built when first
+    asked; equality compares those."""
 
     degree: int
-    generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
-    signs: tuple[int, ...] | None = None
+    base: tuple[int, ...]
+    moves: tuple[Image, ...]
+    tree: tuple[tuple[int, int], ...]
+    orbit_signs: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.tree) + 1
 
+    def images(self) -> Iterator[Image]:
+        """Each element's image tuple in tree order, one product each, kept
+        only until the last element built on it (moves have degree >= 2)."""
+        last = {j: i for i, (j, _k) in enumerate(self.tree, 1)}
+        live = {0: tuple(range(self.degree))}
+        yield live[0]
+        for i, (j, k) in enumerate(self.tree, 1):
+            x = itemgetter(*(live[j] if last[j] > i else live.pop(j)))(self.moves[k])
+            if i in last:
+                live[i] = x
+            yield x
 
-Image = tuple[int, ...]
+    @cached_property
+    def _sorted(self) -> list[tuple[Image, int]]:
+        return sorted(zip(self.images(), range(self.order)))
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(x) for x, _i in self._sorted)
+
+    @cached_property
+    def signs(self) -> tuple[int, ...] | None:
+        """The signs aligned with ``elements``."""
+        s = self.orbit_signs
+        return None if s is None else tuple(s[i] for _x, i in self._sorted)
+
+    @cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        """Greedy: each element, in sorted order, that the ones chosen before
+        it do not generate, that is whose base images they do not reach."""
+        gens: list[Image] = []
+        span = {self.base: None}
+        for x, _i in self._sorted:
+            if len(span) < self.order and _mul(x, self.base) not in span:
+                gens.append(x)
+                span = _closure(self.base, gens, self.order)
+        return tuple(map(Permutation, gens))
+
+    def __eq__(self, other: object) -> bool:
+        key = attrgetter("degree", "generators", "elements", "signs")
+        return isinstance(other, PermGroup) and key(self) == key(other)
 
 
 def _mul(p: Image, q: Image) -> Image:
@@ -95,23 +108,20 @@ def _mul(p: Image, q: Image) -> Image:
     return tuple(map(p.__getitem__, q))
 
 
-def _closure(degree: int, left: Collection[Image], cap: int = DEFAULT_CAP) -> set[Image]:
-    """Image tuples reached from the identity (BFS with element cap) by
-    multiplying on the left by an element of ``left``."""
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt: list[Image] = []
-        for x in frontier:
-            for y in [_mul(a, x) for a in left]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise CapExceededError(f"group closure exceeded cap of {cap} elements")
-        frontier = nxt
-    return seen
+def _closure(start: Image, left: Sequence[Image], cap: int) -> dict:
+    """Each tuple reached from ``start`` (BFS with element cap) by left
+    multiplication with some left[k], mapped to (j, k): left[k] times the
+    j-th one reached."""
+    reached, queue = {start: None}, [start]
+    for j, x in enumerate(queue):  # the loop visits the tuples it appends
+        for k, a in enumerate(left):
+            y = _mul(a, x)
+            if y not in reached:
+                reached[y] = (j, k)
+                queue.append(y)
+                if len(queue) > cap:
+                    raise CapExceededError(f"group closure exceeded cap of {cap} elements")
+    return reached
 
 
 def close(
@@ -119,15 +129,15 @@ def close(
     degree: int | None = None,
     cap: int = DEFAULT_CAP,
 ) -> PermGroup:
-    """Close a generator list under multiplication (BFS with element cap)."""
+    """Close a generator list under multiplication (BFS with element cap);
+    every point is the group's base."""
     gens = tuple(generators)
     if degree is None:
-        degree = gens[0].degree if gens else 0
-    for p in gens:
-        if p.degree != degree:
-            raise ValueError("mixed degrees in generator list")
-    elements = _closure(degree, [p.image for p in gens], cap=cap)
-    return PermGroup(degree, gens, tuple(Permutation(x) for x in sorted(elements)))
+        degree = len(gens[0].image) if gens else 0
+    if any(len(p.image) != degree for p in gens):
+        raise ValueError("mixed degrees in generator list")
+    ident, moves = tuple(range(degree)), tuple(p.image for p in gens)
+    return PermGroup(degree, ident, moves, tuple(_closure(ident, moves, cap).values())[1:])
 
 
 class GroupSignature(NamedTuple):
@@ -140,36 +150,60 @@ class GroupSignature(NamedTuple):
     central_reversal: bool  # some central involution has sign -1
 
 
+def _base_order(p: Image, base: tuple[int, ...]) -> int:
+    """The order of p when only the identity fixes every base point: the
+    lcm of p's cycle lengths through them."""
+    out = 1
+    for b in base:
+        n, x = 1, p[b]
+        while x != b:
+            n, x = n + 1, p[x]
+        out = lcm(out, n)
+    return out
+
+
 def signature(g: PermGroup) -> GroupSignature:
     """The orientation split of a group that carries signs (an
-    ``automorphisms`` result); raises PreconditionError on one without."""
-    if g.signs is None:
+    ``automorphisms`` result), in one pass of image products in orbit
+    order.  An element's order is read on the base; it is a central
+    reversal when it has order 2, sign -1, and commutes with every move on
+    the base.  Raises PreconditionError on a group without signs."""
+    if g.orbit_signs is None:
         raise PreconditionError("the group carries no orientation signs")
-    gens = [p.image for p in g.generators]
-    orders = [p.order() for p in g.elements]
-    rotation_orders = [k for k, s in zip(orders, g.signs) if s > 0]
-    return GroupSignature(
-        rotations=len(rotation_orders),
-        rotation_max_order=max(rotation_orders, default=0),
-        max_order=max(orders, default=0),
-        central_reversal=any(
-            s < 0 and k == 2 and all(_mul(p.image, q) == _mul(q, p.image) for q in gens)
-            for p, k, s in zip(g.elements, orders, g.signs)
-        ),
-    )
+    rotations, rotation_max, max_order, central = 0, 0, 0, False
+    for p, s in zip(g.images(), g.orbit_signs):
+        k = _base_order(p, g.base)
+        max_order = max(max_order, k)
+        if s > 0:
+            rotations += 1
+            rotation_max = max(rotation_max, k)
+        elif k == 2 and not central:
+            central = all(p[m[b]] == m[p[b]] for m in g.moves for b in g.base)
+    return GroupSignature(rotations, rotation_max, max_order, central)
 
 
 # ---------------------------------------------------------------------------
 # group identities (catalog tags)
 # ---------------------------------------------------------------------------
 
-_EXCEPTIONAL_ORDERS = {
-    "A4": 12,
-    "S4": 24,
-    "A5": 60,
-    "A4xZ2": 24,
-    "S4xZ2": 48,
-    "A5xZ2": 120,
+_EXCEPTIONAL = ("A4", "S4", "A5", "A4xZ2", "S4xZ2", "A5xZ2")
+
+# each kind's string form, order (a constant plus a multiple of n) and the
+# conventional solid whose full symmetry group has that type
+_KINDS = {
+    "trivial": ("Z1", 1, 0, None),
+    "cyclic": ("Z{}", 0, 1, None),
+    "klein": ("Z2xZ2", 4, 0, "rhombic disphenoid"),
+    "dihedral": ("D{}", 0, 2, "{}-gonal pyramid"),
+    "cyclic_x_z2": ("Z{}xZ2", 0, 2, None),
+    "dihedral_x_z2": ("D{}xZ2", 0, 4, "{}-gonal prism"),
+    "unrecognized": ("U{}", 0, 1, None),
+    "A4": ("A4", 12, 0, "tetrahedron (rotations)"),
+    "S4": ("S4", 24, 0, "tetrahedron"),
+    "A5": ("A5", 60, 0, "dodecahedron (rotations)"),
+    "A4xZ2": ("A4xZ2", 24, 0, "pyritohedron"),
+    "S4xZ2": ("S4xZ2", 48, 0, "cube"),
+    "A5xZ2": ("A5xZ2", 120, 0, "dodecahedron"),
 }
 
 
@@ -239,7 +273,7 @@ class GroupId:
 
     @staticmethod
     def exceptional(name: str) -> "GroupId":
-        if name not in _EXCEPTIONAL_ORDERS:
+        if name not in _EXCEPTIONAL:
             raise ValueError(f"unknown exceptional tag {name!r}")
         return GroupId(name)
 
@@ -251,44 +285,17 @@ class GroupId:
 
     @property
     def order(self) -> int:
-        if self.kind == "trivial":
-            return 1
-        if self.kind == "cyclic":
-            return self.n
-        if self.kind == "klein":
-            return 4
-        if self.kind == "dihedral":
-            return 2 * self.n
-        if self.kind == "cyclic_x_z2":
-            return 2 * self.n
-        if self.kind == "dihedral_x_z2":
-            return 4 * self.n
-        if self.kind == "unrecognized":
-            return self.n
-        return _EXCEPTIONAL_ORDERS[self.kind]
+        _form, fixed, per_n, _alias = _KINDS[self.kind]
+        return fixed + per_n * self.n
 
     def __str__(self) -> str:
-        if self.kind == "trivial":
-            return "Z1"
-        if self.kind == "cyclic":
-            return f"Z{self.n}"
-        if self.kind == "klein":
-            return "Z2xZ2"
-        if self.kind == "dihedral":
-            return f"D{self.n}"
-        if self.kind == "cyclic_x_z2":
-            return f"Z{self.n}xZ2"
-        if self.kind == "dihedral_x_z2":
-            return f"D{self.n}xZ2"
-        if self.kind == "unrecognized":
-            return f"U{self.n}"
-        return self.kind
+        return _KINDS[self.kind][0].format(self.n)
 
     @staticmethod
     def from_string(text: str) -> "GroupId":
         """Parse the string form ("D5", "Z6xZ2", "S4xZ2", "Z2xZ2", ...)."""
         s = text.strip()
-        if s in _EXCEPTIONAL_ORDERS:
+        if s in _EXCEPTIONAL:
             return GroupId.exceptional(s)
         if s == "Z2xZ2":
             return GroupId.klein()
@@ -312,21 +319,8 @@ class GroupId:
 
     def geometric_alias(self) -> str | None:
         """Conventional solid whose full symmetry group has this type."""
-        if self.kind == "dihedral" and self.n >= 3:
-            return f"{self.n}-gonal pyramid"
-        if self.kind == "dihedral_x_z2":
-            return f"{self.n}-gonal prism"
-        if self.kind == "klein":
-            return "rhombic disphenoid"
-        aliases = {
-            "A4": "tetrahedron (rotations)",
-            "S4": "tetrahedron",
-            "A5": "dodecahedron (rotations)",
-            "A4xZ2": "pyritohedron",
-            "S4xZ2": "cube",
-            "A5xZ2": "dodecahedron",
-        }
-        return aliases.get(self.kind)
+        alias = _KINDS[self.kind][3]
+        return None if alias is None else alias.format(self.n)
 
 
 # ---------------------------------------------------------------------------

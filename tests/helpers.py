@@ -6,9 +6,9 @@ try all vertex permutations, and the random crushtacean corpus is built
 by dualizing stacked triangulations (always simple, cubic, planar and
 3-connected) and painting a maximum matching.  Two references reuse
 library parts: ``scan_automorphisms``, the engine's own flag extension
-run over every candidate flag, with generators from ``from_elements``
-(each span closed from scratch), is the reference for the flag-orbit
-search; and the catalog oracle (``realize``, ``candidate_tags``,
+run over every candidate flag, is the reference for the flag-orbit search
+(``greedy_generators`` closes each span from scratch, the reference for
+the greedy generators); and the catalog oracle (``realize``, ``candidate_tags``,
 ``catalog_identify``) matches any permutation group against concrete
 realizations of every catalog tag by centre and derived subgroup, the
 reference for the orientation-split ``identify``.
@@ -17,7 +17,6 @@ reference for the orientation-split ``identify``.
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
@@ -41,7 +40,7 @@ from crushtacean import (
     planar_embed,
 )
 from crushtacean.automorphism import _Darts, _extend
-from crushtacean.groups import DEFAULT_CAP
+from crushtacean.groups import DEFAULT_CAP, GroupSignature
 
 
 def nx_graph(g: PaintedGraph) -> nx.Graph:
@@ -471,7 +470,7 @@ class CatalogSignature(NamedTuple):
 
 def catalog_signature(g: PermGroup) -> CatalogSignature:
     gens = [p.image for p in g.generators]
-    hist = Counter(p.order() for p in g.elements)
+    hist = Counter(perm_order(p.image) for p in g.elements)
     center = sum(
         1 for p in g.elements if all(perm_compose(p.image, q) == perm_compose(q, p.image) for q in gens)
     )
@@ -523,20 +522,57 @@ def catalog_identify(g: PermGroup) -> GroupId:
     return GroupId.unrecognized(g.order)
 
 
-def from_elements(elements, degree: int) -> PermGroup:
-    """The group whose elements (all of them) are given, in sorted order,
-    with greedy generators: each element, in sorted order, that the ones
-    chosen before it do not generate (their span closed from scratch)."""
-    ordered = tuple(sorted(elements))
-    gens: list[Permutation] = []
-    span = {tuple(range(degree))}
-    for p in ordered:
-        if len(span) == len(ordered):
-            break
-        if p.image not in span:
-            gens.append(p)
-            span = close_tuples([q.image for q in gens])
-    return PermGroup(degree, tuple(gens), ordered)
+def full_signature(grp: PermGroup) -> GroupSignature:
+    """``signature`` from every element's full vertex images: orders by
+    ``perm_order``, and a central reversal by commuting with every
+    generator on every vertex."""
+    gens = [p.image for p in grp.generators]
+    orders = [perm_order(p.image) for p in grp.elements]
+    rotation_orders = [k for k, s in zip(orders, grp.signs) if s > 0]
+    return GroupSignature(
+        rotations=len(rotation_orders),
+        rotation_max_order=max(rotation_orders),
+        max_order=max(orders),
+        central_reversal=any(
+            s < 0 and k == 2 and all(perm_compose(p.image, q) == perm_compose(q, p.image) for q in gens)
+            for p, k, s in zip(grp.elements, orders, grp.signs)
+        ),
+    )
+
+
+def base_fixers(grp: PermGroup) -> int:
+    """The elements other than the identity that fix every base point."""
+    return sum(
+        all(p.image[b] == b for b in grp.base) and p.image != tuple(range(grp.degree))
+        for p in grp.elements
+    )
+
+
+def greedy_generators(grp: PermGroup) -> list[tuple]:
+    """Each element's image, in sorted order, that the ones chosen before it
+    do not generate (their span closed from scratch)."""
+    gens: list[tuple] = []
+    span = {tuple(range(grp.degree))}
+    for x in sorted(p.image for p in grp.elements):
+        if x not in span:
+            gens.append(x)
+            span = close_tuples(gens)
+    return gens
+
+
+def from_elements(signed: dict, degree: int) -> PermGroup:
+    """The group whose elements (all of them) are the keys of ``signed``,
+    each with its sign: every point is its base, and each element but the
+    identity is one move from it."""
+    ident = Permutation(tuple(range(degree)))
+    others = [p for p in signed if p != ident]
+    return PermGroup(
+        degree,
+        ident.image,
+        tuple(p.image for p in others),
+        tuple((0, k) for k in range(len(others))),
+        (signed[ident], *(signed[p] for p in others)),
+    )
 
 
 def scan_automorphisms(
@@ -544,10 +580,9 @@ def scan_automorphisms(
 ) -> PermGroup:
     """``automorphisms`` by extending every candidate flag of the base dart:
     the flags that survive are the maps themselves, each with the sign of
-    its flag, and ``from_elements`` picks the greedy generators by closing
-    spans of image tuples.  Raises like ``automorphisms``."""
+    its flag, handed to ``from_elements``.  Raises like ``automorphisms``."""
     darts = _Darts(g, respect_painting)
-    base = darts.base()
+    base = darts.base
     found: dict[Permutation, int] = {}  # each map with the sign of its flag
     for image, sign in darts.flags(darts.keys[1][base]):
         perm = _extend(darts, darts, base, image, sign)
@@ -555,8 +590,7 @@ def scan_automorphisms(
             found[Permutation(perm)] = sign
             if len(found) > cap:
                 raise CapExceededError(f"automorphism count exceeded cap of {cap}")
-    grp = from_elements(found, g.vertex_count)
-    return replace(grp, signs=tuple(found[p] for p in grp.elements))
+    return from_elements(found, g.vertex_count)
 
 
 def dual_nerve(g: PaintedGraph) -> tuple[bool, bool]:

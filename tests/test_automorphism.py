@@ -2,6 +2,7 @@ import pytest
 
 from crushtacean import (
     CapExceededError,
+    Permutation,
     automorphism,
     automorphisms,
     find_isomorphism,
@@ -19,7 +20,15 @@ from crushtacean.families import (
     prism,
     wheel,
 )
-from helpers import brute_automorphism_count, close_tuples, random_crushtacean, random_triangulation
+from helpers import (
+    brute_automorphism_count,
+    close_tuples,
+    greedy_generators,
+    perm_compose,
+    perm_inverse,
+    random_crushtacean,
+    random_triangulation,
+)
 
 
 def is_automorphism(g, p):
@@ -82,9 +91,9 @@ def test_every_returned_element_is_an_automorphism(rng):
     elems = set(grp.elements)
     some = list(elems)[: min(8, len(elems))]
     for a in some:
-        assert a.inverse() in elems
+        assert Permutation(perm_inverse(a.image)) in elems
         for b in some:
-            assert a * b in elems
+            assert Permutation(perm_compose(a.image, b.image)) in elems
 
 
 def test_generators_deterministic():
@@ -112,13 +121,8 @@ def test_generators_are_the_greedy_choice(name, painted):
     """The generators `aut` prints: each element, in sorted order, that the
     ones chosen before it do not generate."""
     grp = automorphisms(GREEDY_CASES[name](), respect_painting=painted)
-    greedy: list[tuple] = []
-    span = {tuple(range(grp.degree))}
-    for x in sorted(p.image for p in grp.elements):
-        if x not in span:
-            greedy.append(x)
-            span = close_tuples(greedy)
-    assert len(span) == grp.order
+    greedy = greedy_generators(grp)
+    assert len(close_tuples(greedy)) == grp.order
     assert [p.image for p in grp.generators] == greedy
 
 
@@ -209,3 +213,31 @@ def test_extensions_stay_within_log2_of_the_order(name, painted, monkeypatch):
     monkeypatch.setattr(groups, "_closure", refuse)
     assert automorphisms(make(), painted).order == order
     assert 1 <= len(calls) <= order.bit_length() - 1  # floor(log2 order)
+
+
+@pytest.mark.parametrize("painted", [False, True], ids=["unpainted", "painted"])
+@pytest.mark.parametrize("name", sorted(EXTENSION_CASES))
+def test_cap_ends_the_search_as_the_orbit_grows(name, painted, monkeypatch):
+    """The cap is checked as each map found grows the orbit of the base
+    flag: the search extends no flag after the one whose map takes the
+    orbit past the cap, so a cap of 1 stops it at its first map."""
+    make, order = EXTENSION_CASES[name]
+    g = make()
+    found: list[bool] = []  # whether each flag extended was a map
+    extend = automorphism._extend
+
+    def counting(*args):
+        perm = extend(*args)
+        found.append(perm is not None)
+        return perm
+
+    monkeypatch.setattr(automorphism, "_extend", counting)
+    automorphisms(g, painted)
+    full = list(found)
+    for cap in (1, order // 2, order - 1):
+        found.clear()
+        with pytest.raises(CapExceededError, match=f"^automorphism count exceeded cap of {cap}$"):
+            automorphisms(g, painted, cap=cap)
+        assert found[-1] and found == full[: len(found)]
+        if cap == 1:
+            assert sum(found) == 1

@@ -5,7 +5,9 @@ import pytest
 
 from crushtacean import (
     NonplanarError,
+    PermGroup,
     PreconditionError,
+    classify,
     classify_bprime,
     cycle_expand,
     detect_reflection_multiplicity,
@@ -443,3 +445,29 @@ def test_report_json_shape():
     ex, _ = cycle_expand(prism(6))
     doc = symmetry_report(ex).to_json_dict()
     assert doc["sym_plus_link"]["citation"] == "Cor 1.2"
+
+
+def test_report_expands_only_the_painted_group(monkeypatch):
+    """The report reads the unpainted group's order alone: no vertex image
+    of its elements is built, while the painted group is expanded once,
+    for its signature."""
+    made, expanded = [], []
+    search, images = classify.automorphisms, PermGroup.images
+
+    def recording_search(g, respect_painting=False):
+        made.append((respect_painting, search(g, respect_painting)))
+        return made[-1][1]
+
+    def recording_images(grp):
+        expanded.append(grp)
+        return images(grp)
+
+    monkeypatch.setattr(classify, "automorphisms", recording_search)
+    monkeypatch.setattr(PermGroup, "images", recording_images)
+    seed = dodecahedron()
+    rep = symmetry_report(cycle_expand(seed)[0], expansion_seed=seed)
+    assert rep.aut_order == rep.aut_p_order == 120
+    (unpainted,) = [grp for painted, grp in made if not painted]
+    (painted,) = [grp for painted, grp in made if painted]
+    assert not any(grp is unpainted for grp in expanded)
+    assert sum(grp is painted for grp in expanded) == 1

@@ -14,6 +14,7 @@ from crushtacean import (
     automorphisms,
     close,
     cycle_expand,
+    groups,
     identify,
     signature,
 )
@@ -28,12 +29,14 @@ from crushtacean.families import (
 )
 from helpers import (
     abstract_isomorphic,
+    base_fixers,
     candidate_tags,
     catalog_identify,
     catalog_signature,
     chorded_cube,
     close_tuples,
     from_cycles,
+    full_signature,
     gyro,
     perm_compose,
     perm_inverse,
@@ -47,12 +50,13 @@ from helpers import (
 def test_permutation_algebra():
     p = from_cycles(4, [(0, 1, 2)])
     q = from_cycles(4, [(2, 3)])
-    assert (p * q).image == tuple(p.image[q.image[i]] for i in range(4))
-    assert (p * p.inverse()).is_identity()
-    assert p.order() == 3
-    assert q.order() == 2
-    assert Permutation.identity(4).order() == 1
-    assert (p * q).inverse() == q.inverse() * p.inverse()
+    pq = perm_compose(p.image, q.image)
+    assert pq == tuple(p.image[q.image[i]] for i in range(4))
+    assert perm_compose(p.image, perm_inverse(p.image)) == tuple(range(4))
+    assert perm_order(p.image) == 3
+    assert perm_order(q.image) == 2
+    assert perm_order(tuple(range(4))) == 1
+    assert perm_inverse(pq) == perm_compose(perm_inverse(q.image), perm_inverse(p.image))
 
 
 def test_perm_order_matches_repeated_composition():
@@ -178,8 +182,10 @@ def test_identify_round_trips_catalog(rng):
             deg = grp.degree
             img = list(range(deg))
             rng.shuffle(img)
-            c = Permutation(tuple(img))
-            conj = close([c * g * c.inverse() for g in grp.generators])
+            c, ci = tuple(img), perm_inverse(tuple(img))
+            conj = close(
+                Permutation(perm_compose(perm_compose(c, g.image), ci)) for g in grp.generators
+            )
             assert catalog_identify(conj) == tag, tag
 
 
@@ -189,7 +195,7 @@ def test_identify_unrecognized():
     assert str(gid) == "U9"
     assert gid.order == 9
     # signs no sphere symmetry group has: Z3xZ3 as "rotations" is no rotation group
-    assert identify(replace(z3z3, signs=(1,) * 9)) == gid
+    assert identify(replace(z3z3, orbit_signs=(1,) * 9)) == gid
 
 
 def test_identify_refuses_a_group_without_signs():
@@ -238,6 +244,21 @@ def test_identify_reads_the_orientation_split(name):
     assert signature(grp).rotations == rotations
 
 
+@pytest.mark.parametrize("painted", [False, True], ids=["unpainted", "painted"])
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_signature_matches_the_full_vertex_oracle(name, painted):
+    """The split read on the three base vertices equals the one read off
+    every element's full vertex images, chiral graphs included (twisted
+    faces, gyro, the pyritohedral chords); only the identity fixes the
+    base."""
+    grp = automorphisms(SPLIT_CASES[name][0], painted)
+    assert len(set(grp.base)) == 3
+    assert base_fixers(grp) == 0
+    for x in (p.image for p in grp.elements):
+        assert groups._base_order(x, grp.base) == perm_order(x)
+    assert signature(grp) == full_signature(grp)
+
+
 def test_identify_agrees_with_brute_force_iso_oracle():
     """Same-order catalog groups are pairwise non-isomorphic by the brute
     multiplication-table oracle, and catalog_identify() keeps them apart; a
@@ -274,4 +295,4 @@ def test_helper_closure_matches_library():
     lib = close([Permutation(g) for g in gens])
     assert len(close_tuples([g for g in gens])) == lib.order
     prod = perm_compose(gens[0], gens[1])
-    assert prod == (Permutation(gens[0]) * Permutation(gens[1])).image
+    assert prod == groups._mul(gens[0], gens[1])

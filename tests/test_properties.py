@@ -25,12 +25,14 @@ from crushtacean import (
     cycle_expand,
     faces,
     find_isomorphism,
+    groups,
     identify,
     painted_graph,
     parse_graph,
     planar_embed,
     relabel,
     serialize_graph,
+    signature,
     symmetry_report,
     three_edge_cuts,
     validate_crushtacean,
@@ -46,13 +48,19 @@ from crushtacean.families import (
 )
 from crushtacean.graphs import check_3_connected
 from helpers import (
+    base_fixers,
     brute_automorphism_count,
     catalog_identify,
     flip_block,
+    full_signature,
+    greedy_generators,
     hung_blocks,
     mirror,
     nx_graph,
     nx_planar_embed,
+    perm_compose,
+    perm_inverse,
+    perm_order,
     random_crushtacean,
     random_cubic_planar,
     random_triangulation,
@@ -100,7 +108,11 @@ def test_relabelling_conjugates_the_group(rng, size, painted):
     img = shuffled(rng, g.vertex_count)
     pi = Permutation(tuple(img))
     h = relabel(g, img)
-    want = sorted(pi * a * pi.inverse() for a in automorphisms(g, painted).elements)
+    inv = perm_inverse(pi.image)
+    want = sorted(
+        Permutation(perm_compose(perm_compose(pi.image, a.image), inv))
+        for a in automorphisms(g, painted).elements
+    )
     assert list(automorphisms(h, painted).elements) == want
 
     phi = find_isomorphism(g, h, respect_painting=True)
@@ -136,7 +148,9 @@ def test_search_matches_the_full_flag_scan(rng, kind, n, expanded, painted):
     if expanded:
         g = cycle_expand(g)[0]
     g = relabel(g, shuffled(rng, g.vertex_count))
-    assert automorphisms(g, painted) == scan_automorphisms(g, painted)
+    grp = automorphisms(g, painted)
+    assert grp == scan_automorphisms(g, painted)
+    assert [p.image for p in grp.generators] == greedy_generators(grp)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -153,7 +167,33 @@ def test_large_groups_match_the_full_flag_scan(rng, kind, n, painted):
     to 800 automorphisms: the same elements, generators and signs."""
     g = NAMED[kind](n)
     g = relabel(g, shuffled(rng, g.vertex_count))
-    assert automorphisms(g, painted) == scan_automorphisms(g, painted)
+    grp = automorphisms(g, painted)
+    assert grp == scan_automorphisms(g, painted)
+    assert [p.image for p in grp.generators] == greedy_generators(grp)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["crushtacean", "prism", "wheel", "antiprism"]),
+    n=st.integers(3, 200),
+    painted=st.booleans(),
+)
+@example(rng=random.Random(0), kind="prism", n=200, painted=False)
+@example(rng=random.Random(0), kind="wheel", n=200, painted=False)
+@example(rng=random.Random(0), kind="antiprism", n=200, painted=False)
+def test_signature_matches_the_full_vertex_oracle(rng, kind, n, painted):
+    """The orientation split read on the three base vertices equals the one
+    read off every element's full vertex images, on relabelled random
+    crushtaceans and on prisms, wheels and antiprisms of up to 800
+    automorphisms; only the identity fixes the three base vertices."""
+    g = random_crushtacean(rng, n // 16) if kind == "crushtacean" else NAMED[kind](n)
+    grp = automorphisms(relabel(g, shuffled(rng, g.vertex_count)), painted)
+    assert len(set(grp.base)) == 3
+    assert base_fixers(grp) == 0
+    for x in (p.image for p in grp.elements):
+        assert groups._base_order(x, grp.base) == perm_order(x)
+    assert signature(grp) == full_signature(grp)
 
 
 @PROPERTY
