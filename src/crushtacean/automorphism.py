@@ -7,13 +7,14 @@ entry points fix a base dart, try each flag whose invariant matches it
 (edge class, end degrees, the sizes of the two faces beside the dart,
 swapped for sign -1) and extend it by breadth-first search over the
 rotation system, checking every edge and its class, in O(E) steps.  The
-automorphism group acts freely on the flags: it is the orbit of the base
-flag under the maps found, each moving a flag by one lookup in its dart
-map (built in O(E)).  Only flags outside that orbit are extended, so at
-most floor(log2 |G|) succeed.  The group is returned as that orbit's
-Schreier tree (Sims 1970) over the maps found, with the base flag's three
-vertices as its base; vertex images are built only when asked.  The dart
-arrays are kept on the graph, once per painting flag.
+automorphism group acts freely on the flags, and only the identity fixes
+a flag's three vertices (its dart's ends and the next neighbour of its
+tail).  So the group is the orbit of the base flag's vertices under the
+maps found, grown by ``groups._grow`` as its Schreier tree (Sims 1970),
+and only flags outside that orbit are extended: at most floor(log2 |G|)
+succeed.  Those three vertices are the group's base; vertex images are
+built only when asked.  The dart arrays are kept on the graph, once per
+painting flag.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 from .errors import CapExceededError
 from .graphs import PaintedGraph
-from .groups import DEFAULT_CAP, PermGroup, Permutation
+from .groups import DEFAULT_CAP, PermGroup, Permutation, _grow
 
 
 class _Darts:
@@ -96,50 +97,31 @@ def _extend(a: _Darts, b: _Darts, base: int, image: int, sign: int) -> tuple[int
     return tuple(vmap)
 
 
-def _grow(reached: dict, moves: list, move: tuple, cap: int) -> None:
-    """Add a move (dart map, sign) to ``moves`` and grow their orbit
-    ``reached``, which maps each flag, in order, to (j, k): it is move k of
-    flag j.  Old flags need only the new move, new flags every move; past
-    ``cap`` flags it raises CapExceededError."""
-    moves.append(move)
-    queue = list(reached)
-    old = len(queue)
-    for i, (d, s) in enumerate(queue):
-        for k in range(len(moves) - 1 if i < old else 0, len(moves)):
-            f = (moves[k][0][d], moves[k][1] * s)
-            if f not in reached:
-                reached[f] = (i, k)
-                queue.append(f)
-                if len(queue) > cap:
-                    raise CapExceededError(f"automorphism count exceeded cap of {cap}")
-
-
 def automorphisms(
     g: PaintedGraph, respect_painting: bool = False, cap: int = DEFAULT_CAP
 ) -> PermGroup:
     """The automorphism group of g (painted edges preserved when asked), as
-    the orbit of the base flag, O(E) per map found: its base is the base
-    dart's tail v0, its head, and v0's next neighbour in the rotation, and
-    each element carries the sign of its flag, +1 when it keeps the
-    rotations.  Raises NonplanarError or PreconditionError unless g is
-    planar and 3-connected, and CapExceededError as soon as the orbit
-    holds more than ``cap`` maps."""
+    the orbit of its base, O(E) per map found: the base dart's tail v0, its
+    head, and v0's next neighbour in the rotation.  Each element carries the
+    sign of its flag, +1 when it keeps the rotations.  Raises NonplanarError
+    or PreconditionError unless g is planar and 3-connected, and
+    CapExceededError as soon as the orbit holds more than ``cap`` maps."""
     darts = _darts(g, respect_painting)
     base, tail, rev = darts.base, darts.tail, darts.rev
     if cap < 1:
         raise CapExceededError(f"automorphism count exceeded cap of {cap}")
-    ends = [(t, tail[r]) for t, r in zip(tail, rev)]
-    dart_at = {e: d for d, e in enumerate(ends)}
-    reached, moves, images = {(base, 1): None}, [], []  # the orbit, as _grow keeps it
+    step, moves, move_signs = {1: darts.nxt, -1: darts.prv}, [], []
+    reached = {(tail[base], tail[rev[base]], tail[rev[step[1][base]]]): None}
     for image, sign in darts.flags(darts.keys[1][base]):
-        if (image, sign) not in reached:
+        if (tail[image], tail[rev[image]], tail[rev[step[sign][image]]]) not in reached:
             perm = _extend(darts, darts, base, image, sign)
             if perm is not None:
-                images.append(Permutation(perm).image)
-                _grow(reached, moves, ([dart_at[perm[t], perm[h]] for t, h in ends], sign), cap)
-    v0, v1, w = tail[base], tail[rev[base]], tail[rev[darts.nxt[base]]]
-    tree, signs = tuple(reached.values())[1:], tuple(s for _d, s in reached)
-    return PermGroup(g.vertex_count, (v0, v1, w), tuple(images), tree, signs)
+                move_signs.append(sign)
+                _grow(reached, moves, Permutation(perm).image, cap)
+    tree, signs = tuple(reached.values())[1:], [1]
+    for j, k in tree:
+        signs.append(move_signs[k] * signs[j])
+    return PermGroup(g.vertex_count, next(iter(reached)), tuple(moves), tree, tuple(signs))
 
 
 def find_isomorphism(

@@ -110,7 +110,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if path.is_dir():
         if args.seed is not None:
             raise CrushtaceanError("--seed applies to a single graph, not a corpus")
-        files = sorted(p for p in path.iterdir() if p.suffix == ".json")
+        files = sorted(p for p in path.iterdir() if p.suffix == ".json" and p.is_file())
         rows = [row for row in map(_corpus_row, files) if row is not None]
         _print_json(rows)
         return EXIT_INPUT if any("error" in row for row in rows) else EXIT_OK

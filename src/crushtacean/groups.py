@@ -1,14 +1,14 @@
 """Finite permutation groups, their orientation split, and identification.
 
-A group is held as a Schreier tree (Sims 1970) whose base only the identity
-fixes: for ``automorphisms`` the three vertices of the base flag (Weinberg
-1966), for ``close`` every point.  Vertex images are products of bare image
-tuples, and the sorted elements and greedy generators are built only when
-asked.  The automorphism group of a 3-connected planar graph acts on the
-sphere as a finite subgroup of O(3) (Mani 1971), and ``automorphisms`` signs
-each element +1 or -1 as it keeps or reverses the rotations.  The group's
-catalog tag (cyclic, dihedral, those times Z2, Klein, or one of the six
-polyhedral types) is read off that split.
+A group is held as the Schreier tree (Sims 1970) that ``_grow`` builds of
+its base's images; only the identity fixes the base: the base flag's three
+vertices for ``automorphisms`` (Weinberg 1966), every point for ``close``.
+Vertex images are products of bare image tuples, and the sorted elements
+and greedy generators are built only when asked.  The automorphism group
+of a 3-connected planar graph acts on the sphere as a finite subgroup of
+O(3) (Mani 1971), and ``automorphisms`` signs each element +1 or -1 as it
+keeps or reverses the rotations.  The catalog tag (cyclic, dihedral,
+those times Z2, Klein, or one of six polyhedral types) is read off the split.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, PreconditionError
 
@@ -43,12 +43,13 @@ Image = tuple[int, ...]
 
 @dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A permutation group as a Schreier tree: element 0 is the identity,
-    element i is moves[k] after element j for (j, k) = tree[i - 1], and only
-    the identity fixes every point of ``base``.  Sphere symmetries are also
-    signed in that order, +1 where they keep the orientation.  The sorted
-    elements, their signs and the greedy generators are built when first
-    asked; equality compares those."""
+    """A permutation group as the Schreier tree ``_grow`` keeps of the
+    orbit of ``base``: element 0 is the identity, element i is moves[k]
+    after element j for (j, k) = tree[i - 1], and only the identity fixes
+    every point of ``base``.  Sphere symmetries are also signed in that
+    order, +1 where they keep the orientation.  The sorted elements, their
+    signs and the greedy generators are built when first asked; equality
+    compares those."""
 
     degree: int
     base: tuple[int, ...]
@@ -89,13 +90,13 @@ class PermGroup:
     @cached_property
     def generators(self) -> tuple[Permutation, ...]:
         """Greedy: each element, in sorted order, that the ones chosen before
-        it do not generate, that is whose base images they do not reach."""
+        it do not generate, that is whose base images their span, grown
+        with each pick, does not reach."""
         gens: list[Image] = []
         span = {self.base: None}
         for x, _i in self._sorted:
             if len(span) < self.order and _mul(x, self.base) not in span:
-                gens.append(x)
-                span = _closure(self.base, gens, self.order)
+                _grow(span, gens, x, self.order)
         return tuple(map(Permutation, gens))
 
     def __eq__(self, other: object) -> bool:
@@ -108,20 +109,22 @@ def _mul(p: Image, q: Image) -> Image:
     return tuple(map(p.__getitem__, q))
 
 
-def _closure(start: Image, left: Sequence[Image], cap: int) -> dict:
-    """Each tuple reached from ``start`` (BFS with element cap) by left
-    multiplication with some left[k], mapped to (j, k): left[k] times the
-    j-th one reached."""
-    reached, queue = {start: None}, [start]
-    for j, x in enumerate(queue):  # the loop visits the tuples it appends
-        for k, a in enumerate(left):
-            y = _mul(a, x)
+def _grow(reached: dict, moves: list, move: Image, cap: int) -> None:
+    """Append ``move`` to ``moves`` and grow their orbit ``reached``, which
+    maps each image tuple, in order, to (j, k): moves[k] times the j-th one.
+    Old points need only the new move, new points every move; past ``cap``
+    points it raises CapExceededError."""
+    moves.append(move)
+    queue = list(reached)
+    old = len(queue)
+    for i, x in enumerate(queue):  # the loop visits the points it appends
+        for k in range(len(moves) - 1 if i < old else 0, len(moves)):
+            y = _mul(moves[k], x)
             if y not in reached:
-                reached[y] = (j, k)
+                reached[y] = (i, k)
                 queue.append(y)
                 if len(queue) > cap:
-                    raise CapExceededError(f"group closure exceeded cap of {cap} elements")
-    return reached
+                    raise CapExceededError(f"automorphism count exceeded cap of {cap}")
 
 
 def close(
@@ -129,15 +132,20 @@ def close(
     degree: int | None = None,
     cap: int = DEFAULT_CAP,
 ) -> PermGroup:
-    """Close a generator list under multiplication (BFS with element cap);
+    """Close a generator list under multiplication: the orbit of the
+    identity, grown one generator at a time, with ``cap`` as in ``_grow``;
     every point is the group's base."""
     gens = tuple(generators)
     if degree is None:
         degree = len(gens[0].image) if gens else 0
     if any(len(p.image) != degree for p in gens):
         raise ValueError("mixed degrees in generator list")
-    ident, moves = tuple(range(degree)), tuple(p.image for p in gens)
-    return PermGroup(degree, ident, moves, tuple(_closure(ident, moves, cap).values())[1:])
+    if cap < 1:  # the identity alone passes it
+        raise CapExceededError(f"automorphism count exceeded cap of {cap}")
+    reached, moves = {tuple(range(degree)): None}, []
+    for p in gens:
+        _grow(reached, moves, p.image, cap)
+    return PermGroup(degree, next(iter(reached)), tuple(moves), tuple(reached.values())[1:])
 
 
 class GroupSignature(NamedTuple):

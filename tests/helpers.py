@@ -306,8 +306,8 @@ def perm_order_by_powers(p: tuple) -> int:
     return k
 
 
-def close_tuples(gens: list[tuple]) -> set[tuple]:
-    ident = tuple(range(len(gens[0])))
+def close_tuples(gens: list[tuple], degree: int | None = None) -> set[tuple]:
+    ident = tuple(range(len(gens[0]) if gens else degree))
     seen = {ident}
     frontier = [ident]
     while frontier:

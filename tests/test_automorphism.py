@@ -6,7 +6,6 @@ from crushtacean import (
     automorphism,
     automorphisms,
     find_isomorphism,
-    groups,
     painted_graph,
     relabel,
 )
@@ -197,22 +196,24 @@ def test_extensions_stay_within_log2_of_the_order(name, painted, monkeypatch):
     """Each flag extended succeeds here and at least doubles the group found
     so far, so a search that skips reached flags extends at most
     floor(log2 |G|) of them; a full scan extends all |G|.  The group is the
-    orbit of the base flag: no span of image tuples is closed."""
+    orbit of the base flag's three vertices: no full image tuple is grown."""
     make, order = EXTENSION_CASES[name]
-    calls = []
-    extend = automorphism._extend
+    calls, orbits = [], []
+    extend, grow = automorphism._extend, automorphism._grow
 
     def counting(*args):
         calls.append(args)
         return extend(*args)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("automorphisms closed a span")
+    def recording(reached, *args):
+        orbits.append(reached)
+        return grow(reached, *args)
 
     monkeypatch.setattr(automorphism, "_extend", counting)
-    monkeypatch.setattr(groups, "_closure", refuse)
+    monkeypatch.setattr(automorphism, "_grow", recording)
     assert automorphisms(make(), painted).order == order
     assert 1 <= len(calls) <= order.bit_length() - 1  # floor(log2 order)
+    assert orbits and all(len(x) == 3 for reached in orbits for x in reached)
 
 
 @pytest.mark.parametrize("painted", [False, True], ids=["unpainted", "painted"])

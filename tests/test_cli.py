@@ -145,6 +145,7 @@ def test_classify_directory_deterministic(tmp_path, capsys):
     write_graph(corpus, "a_borromean.json", gamma_borromean())
     write_graph(corpus, "b_pretzel3.json", gamma_pretzel(3))
     (corpus / "notes.txt").write_text("ignored")
+    (corpus / "nested.json").mkdir()  # a directory, not a graph: skipped
     code, first, _ = run(capsys, "classify", str(corpus))
     assert code == 0
     code, second, _ = run(capsys, "classify", str(corpus))

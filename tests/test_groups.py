@@ -37,6 +37,7 @@ from helpers import (
     close_tuples,
     from_cycles,
     full_signature,
+    greedy_generators,
     gyro,
     perm_compose,
     perm_inverse,
@@ -291,8 +292,25 @@ def test_identify_klein_vs_z4():
 
 
 def test_helper_closure_matches_library():
-    gens = [(1, 2, 0, 3), (0, 1, 3, 2)]
-    lib = close([Permutation(g) for g in gens])
-    assert len(close_tuples([g for g in gens])) == lib.order
+    """``close`` against the plain-tuple BFS: the same elements, the greedy
+    generators of spans closed from scratch, and a cap one below the order
+    refused."""
+    cases = [  # generators, degree, order
+        ([(1, 2, 0, 3), (0, 1, 3, 2)], 4, 24),
+        ([(1, 2, 0, 3), (0, 1, 3, 2), (2, 0, 1, 3)], 4, 24),  # redundant: the 3-cycle's inverse
+        ([(1, 2, 0, 3), (1, 2, 0, 3)], 4, 3),  # repeated
+        ([(0, 1, 2)], 3, 1),  # the identity
+        ([], 1, 1),
+        ([(1, 0, 2, 3), (1, 2, 3, 0)], 4, 24),  # S4
+        ([(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)], 5, 10),  # D5
+    ]
+    for gens, degree, order in cases:
+        lib = close([Permutation(g) for g in gens], degree=degree)
+        assert lib.order == order
+        assert {p.image for p in lib.elements} == close_tuples(gens, degree)
+        assert [p.image for p in lib.generators] == greedy_generators(lib)
+        with pytest.raises(CapExceededError):
+            close([Permutation(g) for g in gens], degree=degree, cap=order - 1)
+    gens = cases[0][0]
     prod = perm_compose(gens[0], gens[1])
     assert prod == groups._mul(gens[0], gens[1])
