@@ -13,8 +13,9 @@ tail).  So the group is the orbit of the base flag's vertices under the
 maps found, grown by ``groups._grow`` as its Schreier tree (Sims 1970),
 and only flags outside that orbit are extended: at most floor(log2 |G|)
 succeed.  Those three vertices are the group's base; vertex images are
-built only when asked.  The dart arrays are kept on the graph, once per
-painting flag.
+built only when asked.  The search walks the dart table of the graph's
+faces (``graphs.FaceSet``); the edge classes and flag invariants it adds
+are kept on the graph, once per painting flag.
 """
 
 from __future__ import annotations
@@ -28,27 +29,20 @@ from .groups import DEFAULT_CAP, PermGroup, Permutation, _grow
 
 
 class _Darts:
-    """Per-dart arrays of one embedded graph; the darts leaving vertex v
-    are numbered consecutively in its rotation order."""
+    """The painting-dependent arrays of one embedded graph, over the dart
+    table ``fs`` of its faces: each dart's edge class and flag invariants."""
 
     def __init__(self, g: PaintedGraph, respect_painting: bool):
-        rot, fs = g.embedding.rotation, g.embedding.faces
+        fs = self.fs = g.embedding.faces
         size = fs.face_sizes()
-        darts = [(v, e) for v, row in enumerate(rot) for e in row]
-        index = {d: i for i, d in enumerate(darts)}
-        self.deg = [len(row) for row in rot]
-        self.tail = [v for v, _e in darts]
-        self.rev = [index[(g.other_end(e, v), e)] for v, e in darts]
-        first = [index[(v, row[0])] for v, row in enumerate(rot)]
-        self.nxt = [first[v] + (d - first[v] + 1) % self.deg[v] for d, v in enumerate(self.tail)]
-        self.prv = [first[v] + (d - first[v] - 1) % self.deg[v] for d, v in enumerate(self.tail)]
-        self.cls = [1 if respect_painting and g.is_painted(e) else 0 for _v, e in darts]
-        fsz = [size[fs.dart_face[d]] for d in darts]
-        deg_of = [self.deg[v] for v in self.tail]
-        ends = [(c, deg_of[d], deg_of[r]) for d, (c, r) in enumerate(zip(self.cls, self.rev))]
+        self.deg = [len(row) for row in g.incident]
+        self.cls = [1 if respect_painting and g.is_painted(e) else 0 for e in fs.edge]
+        fsz = [size[f] for f in fs.face]
+        deg_of = [self.deg[v] for v in fs.tail]
+        ends = [(c, deg_of[d], deg_of[r]) for d, (c, r) in enumerate(zip(self.cls, fs.rev))]
         self.keys = {
-            1: [ends[d] + (fsz[d], fsz[r]) for d, r in enumerate(self.rev)],
-            -1: [ends[d] + (fsz[r], fsz[d]) for d, r in enumerate(self.rev)],
+            1: [ends[d] + (fsz[d], fsz[r]) for d, r in enumerate(fs.rev)],
+            -1: [ends[d] + (fsz[r], fsz[d]) for d, r in enumerate(fs.rev)],
         }
         self.shape = (g.vertex_count, g.edge_count, sum(self.cls), tuple(sorted(size)))
 
@@ -56,10 +50,10 @@ class _Darts:
     def base(self) -> int:
         """The dart whose invariant the fewest flags share."""
         count = Counter(self.keys[1] + self.keys[-1])
-        return min(range(len(self.tail)), key=lambda d: (count[self.keys[1][d]], d))
+        return min(range(len(self.cls)), key=lambda d: (count[self.keys[1][d]], d))
 
     def flags(self, key: tuple) -> list[tuple[int, int]]:
-        return [(d, s) for d in range(len(self.tail)) for s in (1, -1) if self.keys[s][d] == key]
+        return [(d, s) for d in range(len(self.cls)) for s in (1, -1) if self.keys[s][d] == key]
 
 
 def _darts(g: PaintedGraph, respect_painting: bool) -> _Darts:
@@ -71,9 +65,9 @@ def _darts(g: PaintedGraph, respect_painting: bool) -> _Darts:
 
 def _extend(a: _Darts, b: _Darts, base: int, image: int, sign: int) -> tuple[int, ...] | None:
     """The vertex map a -> b fixed by the flag, or None if it breaks."""
-    a_tail, a_rev, a_nxt, a_cls, a_deg = a.tail, a.rev, a.nxt, a.cls, a.deg
-    b_tail, b_rev, b_cls, b_deg = b.tail, b.rev, b.cls, b.deg
-    b_step = b.nxt if sign > 0 else b.prv
+    a_tail, a_rev, a_nxt, a_cls, a_deg = a.fs.tail, a.fs.rev, a.fs.nxt, a.cls, a.deg
+    b_tail, b_rev, b_cls, b_deg = b.fs.tail, b.fs.rev, b.cls, b.deg
+    b_step = b.fs.nxt if sign > 0 else b.fs.prv
     vmap, used, dmap = [-1] * len(a_deg), [False] * len(b_deg), [-1] * len(a_tail)
     vmap[a_tail[base]] = b_tail[image]
     used[b_tail[image]] = True
@@ -107,10 +101,10 @@ def automorphisms(
     or PreconditionError unless g is planar and 3-connected, and
     CapExceededError as soon as the orbit holds more than ``cap`` maps."""
     darts = _darts(g, respect_painting)
-    base, tail, rev = darts.base, darts.tail, darts.rev
+    base, tail, rev = darts.base, darts.fs.tail, darts.fs.rev
     if cap < 1:
         raise CapExceededError(f"automorphism count exceeded cap of {cap}")
-    step, moves, move_signs = {1: darts.nxt, -1: darts.prv}, [], []
+    step, moves, move_signs = {1: darts.fs.nxt, -1: darts.fs.prv}, [], []
     reached = {(tail[base], tail[rev[base]], tail[rev[step[1][base]]]): None}
     for image, sign in darts.flags(darts.keys[1][base]):
         if (tail[image], tail[rev[image]], tail[rev[step[sign][image]]]) not in reached:

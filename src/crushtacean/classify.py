@@ -208,18 +208,21 @@ def three_edge_cuts(g: PaintedGraph) -> tuple[EdgeCut, ...]:
 
     Requires cubic 3-connected planar input (then every disconnecting
     triple is a minimal cut, and the minimal cuts are the triangles of the
-    dual; its facial triangles are the vertex stars); non-planar input
-    raises NonplanarError.
+    dual: three faces that pairwise share an edge; the facial triangles are
+    the vertex stars); non-planar input raises NonplanarError.
     """
     if any(g.degree(v) != 3 for v in range(g.vertex_count)):
         raise PreconditionError("three_edge_cuts requires a cubic graph")
-    dg, corr = g.embedding.dual
-    primal = {d: p for p, d in enumerate(corr)}
-    nbrs = [set(row) for row in dg.adjacency]
+    fs = g.embedding.faces
+    shared: list[dict[int, int]] = [{} for _ in fs.faces]  # face -> {neighbour: shared edge}
+    for d, e in enumerate(fs.edge):
+        shared[fs.face[d]][fs.face[fs.rev[d]]] = e
     triples = {
-        tuple(sorted(primal[d] for d in (ab, dg.edge_index[(a, c)], dg.edge_index[(b, c)])))
-        for ab, (a, b) in enumerate(dg.edges)
-        for c in nbrs[a] & nbrs[b]
+        tuple(sorted((ab, row[c], shared[b][c])))
+        for a, row in enumerate(shared)
+        for b, ab in row.items()
+        if b > a
+        for c in row.keys() & shared[b].keys()
         if c > b
     }
     cuts = []
@@ -435,8 +438,10 @@ def symmetry_report(
     if expansion_seed is not None:
         from .families import cycle_expand
 
-        expanded, _rot = cycle_expand(expansion_seed)
-        if find_isomorphism(expanded, g, respect_painting=True) is None:
+        edges = expansion_seed.edge_count  # its expansion has 2E vertices and 3E edges
+        if (g.vertex_count, g.edge_count) != (2 * edges, 3 * edges) or (
+            find_isomorphism(cycle_expand(expansion_seed)[0], g, respect_painting=True) is None
+        ):
             raise PreconditionError("expansion_seed does not expand to the given graph")
         screen = signature_screen(expansion_seed)
         notes.append("expansion provenance verified against supplied seed")

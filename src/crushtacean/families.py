@@ -212,48 +212,29 @@ def cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, Rotation]:
     """Blow each vertex up into a cycle following its rotation; images of
     the original edges are painted.
 
-    Each edge-end of the input becomes a vertex of the output, joined to
-    its two rotation neighbours around the same input vertex and, by a
-    painted edge, to the opposite end of the same input edge.  The output
-    rotation rides on the output graph, whose embedding is built and
-    checked to be 3-connected before it is returned.  Input painting, if
+    Dart d of the input (see ``FaceSet``) becomes output vertex d, joined
+    by a painted edge to ``rev[d]``, the other end of its edge, and by
+    cycle edges to ``nxt[d]`` and ``prv[d]``, its rotation neighbours.
+    The output rotation rides on the output graph, whose embedding is
+    built and checked to be 3-connected before it is returned.  Input painting, if
     any, is ignored.  Requires a 3-connected planar input and raises
     PreconditionError otherwise: smaller degrees would create loops or
     parallel edges, and a 2-vertex cut would leave 2-edge cuts.
     """
-    rot = g.embedding.rotation
-    idx: dict[tuple[int, int], int] = {}
-    for v in range(g.vertex_count):
-        for e in rot[v]:
-            idx[(v, e)] = len(idx)
+    fs = g.embedding.faces
+    rev, nxt, prv = fs.rev, fs.nxt, fs.prv
 
     def norm(a: int, b: int) -> Edge:
         return (a, b) if a < b else (b, a)
 
-    edges: list[Edge] = []
-    painted: list[Edge] = []
-    for e, (u, v) in enumerate(g.edges):
-        pe = norm(idx[(u, e)], idx[(v, e)])
-        edges.append(pe)
-        painted.append(pe)
-    for v in range(g.vertex_count):
-        row = rot[v]
-        d = len(row)
-        for i in range(d):
-            edges.append(norm(idx[(v, row[i])], idx[(v, row[(i + 1) % d])]))
-
-    out = painted_graph(2 * g.edge_count, edges, painted=painted)
-    rows: list[tuple[int, ...]] = []
-    for v in range(g.vertex_count):
-        row = rot[v]
-        d = len(row)
-        for i, e in enumerate(row):
-            xv = idx[(v, e)]
-            u = g.other_end(e, v)
-            pe = out.edge_index[norm(xv, idx[(u, e)])]
-            cn = out.edge_index[norm(xv, idx[(v, row[(i + 1) % d])])]
-            cp = out.edge_index[norm(xv, idx[(v, row[(i - 1) % d])])]
-            rows.append(_canon_row((pe, cn, cp)))
+    painted = [(d, r) for d, r in enumerate(rev) if d < r]
+    cycles = [norm(d, c) for d, c in enumerate(nxt)]
+    out = painted_graph(2 * g.edge_count, painted + cycles, painted)
+    index = out.edge_index
+    rows = [
+        _canon_row((index[norm(d, rev[d])], index[norm(d, nxt[d])], index[norm(d, prv[d])]))
+        for d in range(len(rev))
+    ]
     out = replace(out, rotation=tuple(rows))
     try:
         out.embedding

@@ -5,7 +5,9 @@ edge subset (the "painted" edges).  Everything downstream (validation,
 knot-circle tracing, cut enumeration, symmetry classification) is built on
 the three primitives in this module: a canonical immutable graph value, a
 rotation system describing a sphere embedding, and the face structure that
-a rotation system induces.
+a rotation system induces.  ``faces`` numbers the darts and traces the
+faces once; its dart table (see ``FaceSet``) is the one numbering the
+automorphism search, cycle expansion and the 3-edge cuts read.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class PaintedGraph:
         carried rotation, else the planarity test's.  Raises NonplanarError,
         or PreconditionError unless the graph is 3-connected."""
         rot = planar_embed(self) if self.rotation is None else self.rotation
-        return Embedding(self, rot, check_3_connected(self, rot))
+        return Embedding(rot, check_3_connected(self, rot))
 
     @cached_property
     def _carried_faces(self) -> FaceSet:
@@ -86,7 +88,7 @@ class PaintedGraph:
 
     @cached_property
     def dart_arrays(self) -> dict:
-        """The automorphism search's dart arrays, by painting flag."""
+        """The automorphism search's per-dart invariants, by painting flag."""
         return {}
 
     @cached_property
@@ -488,66 +490,71 @@ def check_rotation(g: PaintedGraph, rot: Rotation) -> None:
 
 @dataclass(frozen=True)
 class FaceSet:
-    """Faces traced from a rotation system.
+    """The dart table of a rotation system and the faces it traces.
 
-    Each face is a closed walk of darts (tail, head, edge_index).  The face
-    tracing convention is fixed: the dart after (u, v) is the successor of
-    the reversed dart's edge in the rotation at v.
+    Dart d is the end of edge ``edge[d]`` at vertex ``tail[d]``; the darts
+    leaving v are numbered consecutively in the order of v's rotation row,
+    rows in vertex order.  ``rev[d]`` is the other end of d's edge, and
+    ``nxt[d]`` / ``prv[d]`` the next / previous dart around d's tail.  The
+    face after dart d is ``nxt[rev[d]]``: the successor of d's edge in the
+    rotation at d's head.  Each face is kept as its closed walk of darts
+    (tail, head, edge_index), started at its smallest, the faces in
+    ascending order of their starts; ``face[d]`` is the face holding d.
     """
 
     faces: tuple[tuple[Dart, ...], ...]
+    tail: list[int] = field(compare=False, repr=False)
+    edge: list[int] = field(compare=False, repr=False)
+    rev: list[int] = field(compare=False, repr=False)
+    nxt: list[int] = field(compare=False, repr=False)
+    prv: list[int] = field(compare=False, repr=False)
+    face: list[int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.faces)
 
     @cached_property
-    def dart_face(self) -> dict[tuple[int, int], int]:
-        """Map (tail, edge_index) -> face id."""
-        out: dict[tuple[int, int], int] = {}
-        for fid, walk in enumerate(self.faces):
-            for tail, _head, e in walk:
-                out[(tail, e)] = fid
-        return out
-
-    @cached_property
     def edge_faces(self) -> dict[int, tuple[int, ...]]:
-        """Map edge index -> the face ids on its two sides."""
-        out: dict[int, list[int]] = {}
-        for fid, walk in enumerate(self.faces):
-            for _tail, _head, e in walk:
-                out.setdefault(e, []).append(fid)
-        return {e: tuple(fids) for e, fids in out.items()}
+        """Map edge index -> the face ids on its two sides, ascending."""
+        face, rev = self.face, self.rev
+        return {e: tuple(sorted((face[d], face[rev[d]]))) for d, e in enumerate(self.edge)}
 
     def face_sizes(self) -> tuple[int, ...]:
         return tuple(len(w) for w in self.faces)
 
 
 def faces(g: PaintedGraph, rot: Rotation) -> FaceSet:
-    """Trace all faces of the embedding given by rot."""
+    """Trace all faces of the embedding given by rot, and its dart table."""
     check_rotation(g, rot)
-    pos: list[dict[int, int]] = [
-        {e: i for i, e in enumerate(rot[v])} for v in range(g.vertex_count)
-    ]
-    seen: set[tuple[int, int]] = set()
+    tail: list[int] = []
+    edge: list[int] = []
+    nxt: list[int] = []
+    prv: list[int] = []
+    for v, row in enumerate(rot):
+        first, k = len(tail), len(row)
+        tail += [v] * k
+        edge += row
+        nxt += [*range(first + 1, first + k), first]
+        prv += [first + k - 1, *range(first, first + k - 1)]
+    at = [0] * (2 * g.edge_count)  # the dart of edge e at edges[e][0], then at edges[e][1]
+    for d, (v, e) in enumerate(zip(tail, edge)):
+        at[2 * e + (v != g.edges[e][0])] = d
+    rev = [at[2 * e + (v == g.edges[e][0])] for v, e in zip(tail, edge)]
+    face = [-1] * len(tail)
     walks: list[tuple[Dart, ...]] = []
-    starts = sorted(
-        (u, e) for e in range(g.edge_count) for u in g.edges[e]
-    )
-    for u0, e0 in starts:
-        if (u0, e0) in seen:
-            continue
-        walk: list[Dart] = []
-        u, e = u0, e0
-        while (u, e) not in seen:
-            seen.add((u, e))
-            v = g.other_end(e, u)
-            walk.append((u, v, e))
-            row = rot[v]
-            e2 = row[(pos[v][e] + 1) % len(row)]
-            u, e = v, e2
-        walks.append(_canon_walk(walk))
-    walks.sort()
-    return FaceSet(tuple(walks))
+    # g.incident[v] ascends in edge index and so in head: each face is met
+    # first at its smallest dart (tail, head, edge_index)
+    for v, row in enumerate(g.incident):
+        for e in row:
+            d = at[2 * e + (v != g.edges[e][0])]
+            walk: list[Dart] = []
+            while face[d] < 0:
+                face[d] = len(walks)
+                walk.append((tail[d], tail[rev[d]], edge[d]))
+                d = nxt[rev[d]]
+            if walk:
+                walks.append(tuple(walk))
+    return FaceSet(tuple(walks), tail, edge, rev, nxt, prv, face)
 
 
 def check_3_connected(g: PaintedGraph, rot: Rotation) -> FaceSet:
@@ -593,21 +600,11 @@ def check_3_connected(g: PaintedGraph, rot: Rotation) -> FaceSet:
     return fs
 
 
-def _canon_walk(walk: list[Dart]) -> tuple[Dart, ...]:
-    k = walk.index(min(walk))
-    return tuple(walk[k:]) + tuple(walk[:k])
-
-
 class Embedding:
-    """A 3-connected graph's sphere embedding: its rotation, its faces and,
-    built on first use, its dual."""
+    """A 3-connected graph's sphere embedding: its rotation and its faces."""
 
-    def __init__(self, g: PaintedGraph, rot: Rotation, fs: FaceSet):
-        self.graph, self.rotation, self.faces = g, rot, fs
-
-    @cached_property
-    def dual(self) -> tuple[PaintedGraph, tuple[int, ...]]:
-        return _dual(self.graph, self.faces)
+    def __init__(self, rot: Rotation, fs: FaceSet):
+        self.rotation, self.faces = rot, fs
 
 
 def dual(g: PaintedGraph, rot: Rotation) -> tuple[PaintedGraph, tuple[int, ...]]:
@@ -622,17 +619,13 @@ def dual(g: PaintedGraph, rot: Rotation) -> tuple[PaintedGraph, tuple[int, ...]]
     here); otherwise the dual is not simple and a PreconditionError is
     raised.
     """
-    return _dual(g, faces(g, rot))
-
-
-def _dual(g: PaintedGraph, fs: FaceSet) -> tuple[PaintedGraph, tuple[int, ...]]:
+    fs = faces(g, rot)
     ef = fs.edge_faces
     dual_edges: list[Edge] = []
     for e in range(g.edge_count):
-        fids = ef[e]
-        if len(fids) != 2 or fids[0] == fids[1]:
+        a, b = ef[e]
+        if a == b:
             raise PreconditionError(f"edge {e} does not separate two distinct faces")
-        a, b = sorted(fids)
         dual_edges.append((a, b))
     if len(set(dual_edges)) != len(dual_edges):
         raise PreconditionError("dual has parallel edges (primal 2-edge cut)")
@@ -678,6 +671,9 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
         raw_painted = [int(i) for i in doc["painted"]]
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:  # int(Infinity)
         raise GraphFormatError(f"malformed field: {exc}") from exc
+    numbers = [doc["vertices"], *doc["painted"], *(x for e in doc["edges"] for x in e)]
+    if any(type(x) is not int for x in numbers) or any(len(e) != 2 for e in doc["edges"]):
+        raise GraphFormatError("malformed field: numbers must be JSON integers, and edges pairs of them")
     for i in raw_painted:
         if not (0 <= i < len(raw_edges)):
             raise GraphFormatError(f"painted index {i} out of range")
@@ -689,6 +685,8 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
             rows = [tuple(int(i) for i in row) for row in doc["rotation"]]
         except (TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"malformed rotation: {exc}") from exc
+        if any(type(i) is not int for row in doc["rotation"] for i in row):
+            raise GraphFormatError("malformed rotation: edge positions must be JSON integers")
         # rotation rows refer to the caller's edge order; remap to canonical
         remap = {i: g.edge_index[e if e[0] < e[1] else (e[1], e[0])] for i, e in enumerate(raw_edges)}
         try:

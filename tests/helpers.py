@@ -11,12 +11,15 @@ run over every candidate flag, is the reference for the flag-orbit search
 the greedy generators); and the catalog oracle (``realize``, ``candidate_tags``,
 ``catalog_identify``) matches any permutation group against concrete
 realizations of every catalog tag by centre and derived subgroup, the
-reference for the orientation-split ``identify``.
+reference for the orientation-split ``identify``.  ``position_faces``
+and ``indexed_cycle_expand`` trace faces and expand cycles with a position
+or index dict per edge-end instead of the dart table of ``faces``.
 """
 
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
@@ -593,10 +596,63 @@ def scan_automorphisms(
     return from_elements(found, g.vertex_count)
 
 
+def position_faces(g: PaintedGraph, rot) -> tuple[tuple, dict]:
+    """The faces of rot and the faces beside each edge, traced from a
+    position dict per vertex: the dart after (u, v, e) leaves v along the
+    edge after e in v's row.  Each walk starts at its smallest dart, walks
+    sorted.  The reference for ``faces``."""
+    pos = [{e: i for i, e in enumerate(row)} for row in rot]
+    seen: set[tuple[int, int]] = set()
+    walks = []
+    for u0, e0 in sorted((u, e) for e in range(g.edge_count) for u in g.edges[e]):
+        walk, u, e = [], u0, e0
+        while (u, e) not in seen:
+            seen.add((u, e))
+            v = g.other_end(e, u)
+            walk.append((u, v, e))
+            u, e = v, rot[v][(pos[v][e] + 1) % len(rot[v])]
+        if walk:
+            k = walk.index(min(walk))
+            walks.append(tuple(walk[k:] + walk[:k]))
+    walks.sort()
+    sides: dict[int, list[int]] = {}
+    for f, walk in enumerate(walks):
+        for _t, _h, e in walk:
+            sides.setdefault(e, []).append(f)
+    return tuple(walks), {e: tuple(fs) for e, fs in sides.items()}
+
+
+def indexed_cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, tuple]:
+    """``cycle_expand`` from an index dict over the edge-ends (v, e) of
+    g's rotation, numbered row by row: end (v, e) becomes a vertex joined
+    to the ends beside it in v's row and, by a painted edge, to the other
+    end of e.  Returns the graph, carrying its rotation, and the rotation."""
+    rot = g.embedding.rotation
+    idx = {(v, e): i for i, (v, e) in enumerate((v, e) for v, row in enumerate(rot) for e in row)}
+
+    def norm(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    painted = [norm(idx[(u, e)], idx[(v, e)]) for e, (u, v) in enumerate(g.edges)]
+    cycles = [norm(idx[(v, row[i])], idx[(v, row[(i + 1) % len(row)])])
+              for v, row in enumerate(rot) for i in range(len(row))]
+    out = painted_graph(2 * g.edge_count, painted + cycles, painted)
+    rows = []
+    for v, row in enumerate(rot):
+        d = len(row)
+        for i, e in enumerate(row):
+            x = idx[(v, e)]
+            ends = [(g.other_end(e, v), e), (v, row[(i + 1) % d]), (v, row[(i - 1) % d])]
+            ids = [out.edge_index[norm(x, idx[y])] for y in ends]
+            k = ids.index(min(ids))
+            rows.append(tuple(ids[k:] + ids[:k]))
+    return replace(out, rotation=tuple(rows)), tuple(rows)
+
+
 def dual_nerve(g: PaintedGraph) -> tuple[bool, bool]:
     """Read off the faces of the planar dual's own embedding: whether every
     face is a triangle, and whether each crosses exactly one painted edge."""
-    dg, _corr = g.embedding.dual
+    dg, _corr = dual(g, g.embedding.rotation)
     walks = dg.embedding.faces.faces
     return (
         all(len(walk) == 3 for walk in walks),

@@ -11,6 +11,7 @@ from crushtacean import (
     classify_bprime,
     cycle_expand,
     detect_reflection_multiplicity,
+    dual,
     has_universal_region,
     knot_circles,
     painted_graph,
@@ -132,7 +133,7 @@ def test_nerve_check_reads_any_sphere_rotation(rng):
         assert dual_nerve(replace(g, rotation=mirror(planar_embed(g)))) == (True, True)
     # painting two edges at a vertex leaves that dual triangle crossing two
     g = painted_graph(4, K4_EDGES, [(0, 1), (0, 2), (1, 3)])
-    dg, _corr = g.embedding.dual
+    dg, _corr = dual(g, g.embedding.rotation)
     crossings = sorted(sum(dg.is_painted(e) for _t, _h, e in w) for w in dg.embedding.faces.faces)
     assert crossings == [1, 1, 2, 2]
     assert dual_nerve(g) == (True, False)
@@ -197,8 +198,12 @@ def test_cuts_against_brute_force(rng):
     for _ in range(5):
         graphs.append(random_crushtacean(rng, rng.randrange(0, 6)))
     for g in graphs:
-        got = sorted(c.edges for c in three_edge_cuts(g))
-        assert got == brute_cuts(g)
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        mirrored = replace(g, rotation=mirror(planar_embed(g)))  # the cuts read either rotation
+        for h in (g, mirrored, relabel(g, perm)):
+            got = sorted(c.edges for c in three_edge_cuts(h))
+            assert got == brute_cuts(h)
 
 
 def test_cut_painted_parity(rng):

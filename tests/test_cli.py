@@ -297,6 +297,22 @@ def test_gen_wheel_with_a_wide_hub(tmp_path):
     assert g.degree(20000) == 20000
 
 
+def test_classify_refuses_a_seed_of_the_wrong_size_before_expanding_it(tmp_path):
+    """A seed's expansion has 2E vertices and 3E edges; the sizes are
+    compared first, so a seed far larger than the graph is never expanded
+    (this 200,000-vertex prism's expansion would not fit in 1 GiB)."""
+    from crushtacean import painted_graph
+
+    n = 100000
+    rim = [(i, (i + 1) % n) for i in range(n)]
+    edges = rim + [(n + u, n + v) for u, v in rim] + [(i, n + i) for i in range(n)]
+    write_graph(tmp_path, "seed.json", painted_graph(2 * n, edges))
+    write_graph(tmp_path, "b.json", gamma_borromean())
+    proc = run_in_1gib(tmp_path, ["classify", "b.json", "--seed", "seed.json"])
+    want = "error: expansion_seed does not expand to the given graph\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+
+
 def test_expand_edgeless_graph_with_a_huge_count_exits_two(tmp_path):
     (tmp_path / "one.json").write_text(
         '{"format": "painted-graph/1", "vertices": 1, "edges": [], "painted": []}'

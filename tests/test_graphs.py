@@ -120,6 +120,13 @@ def test_serialize_with_rotation_round_trips():
         lambda d: d["rotation"][0].append(float("inf")),
         lambda d: d.update(vertices=2**62),  # more vertices than 2 per edge: rejected unallocated
         lambda d: d.update(vertices=2**64),
+        # numbers that int() would coerce into another graph: only JSON integers pass
+        lambda d: d["edges"].__setitem__(0, [0, 1.7]),
+        lambda d: d["edges"][0].append(3),
+        lambda d: d.update(vertices="4"),
+        lambda d: d.update(painted=[0.9, 5]),
+        lambda d: d.update(painted=[False, 5]),
+        lambda d: d["rotation"][0].__setitem__(0, 0.0),
     ],
 )
 def test_parse_rejects_mangled_documents(mangle):

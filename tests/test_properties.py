@@ -1,5 +1,6 @@
-"""Property tests of the planarity test, the automorphism engine, the
-3-connectivity check, the rotations files carry, and the report.
+"""Property tests of the planarity test, the faces' dart table, the
+automorphism engine, the 3-connectivity check, the rotations files carry,
+and the report.
 
 Graphs come from the seeded generators in ``helpers``, driven by a
 Hypothesis-controlled ``random.Random``, so a failing case shrinks to a
@@ -55,12 +56,14 @@ from helpers import (
     full_signature,
     greedy_generators,
     hung_blocks,
+    indexed_cycle_expand,
     mirror,
     nx_graph,
     nx_planar_embed,
     perm_compose,
     perm_inverse,
     perm_order,
+    position_faces,
     random_crushtacean,
     random_cubic_planar,
     random_triangulation,
@@ -371,6 +374,35 @@ def test_expansion_copies_the_seed_group(rng, size):
     full, painted = automorphisms(seed), automorphisms(ex, True)
     assert painted.order == full.order
     assert identify(painted) == identify(full)
+
+
+@PROPERTY
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["crushtacean", "prism", "wheel", "antiprism"]),
+    n=st.integers(3, 12),
+)
+def test_dart_table_matches_the_position_dict_oracles(rng, kind, n):
+    """The dart table of ``faces`` traces the faces the position-dict
+    tracer does, in the same order, and ``cycle_expand`` over it builds
+    what the index-dict expansion builds, on a relabelled graph's rotation
+    and on its mirror image."""
+    g = random_crushtacean(rng, n) if kind == "crushtacean" else NAMED[kind](n)
+    g = relabel(g, shuffled(rng, g.vertex_count))
+    for rot in (planar_embed(g), mirror(planar_embed(g))):
+        h = replace(g, rotation=rot)
+        fs = faces(h, rot)
+        walks, sides = position_faces(h, rot)
+        assert fs.faces == walks and fs.edge_faces == sides
+        assert cycle_expand(h) == indexed_cycle_expand(h)
+        tail, edge, rev, nxt, prv, face = fs.tail, fs.edge, fs.rev, fs.nxt, fs.prv, fs.face
+        assert sorted(zip(tail, edge)) == sorted((v, e) for v, row in enumerate(rot) for e in row)
+        for d in range(len(tail)):
+            assert rev[d] != d and rev[rev[d]] == d and edge[rev[d]] == edge[d]
+            row = rot[tail[d]]
+            assert (tail[nxt[d]], edge[nxt[d]]) == (tail[d], row[(row.index(edge[d]) + 1) % len(row)])
+            assert prv[nxt[d]] == d
+            assert (tail[d], tail[rev[d]], edge[d]) in fs.faces[face[d]]
 
 
 def planarity_input(rng, kind: str, size: int):
