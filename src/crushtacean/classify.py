@@ -130,65 +130,39 @@ class KnotStructure:
 
 
 def knot_circles(g: PaintedGraph) -> KnotStructure:
-    """Trace the knot circles of the encoded link.
+    """Trace the knot circles of the encoded link on the faces' dart table.
 
-    Each painted edge contributes two parallel arcs, one per adjacent face;
-    each unpainted edge carries exactly one connecting segment.  Circles are
-    traversal orbits of the arc-segment gluing, emitted in canonical order.
+    Painted dart p is the arc ``(edge[p], face[p])`` beside its edge; its
+    ends are the unpainted darts ``prv[p]`` at p's tail and ``nxt[rev[p]]``
+    at its head.  A segment carries the walk from unpainted dart t along
+    its edge to u = ``rev[t]``, where exactly one of ``nxt[u]`` and
+    ``prv[u]`` is painted: the next arc is ``nxt[u]`` or ``rev[prv[u]]``,
+    and the walk leaves it by its other end.  Each circle starts at the
+    smallest arc not yet traced and leaves it by the end at its smaller
+    vertex; crossing circle e links the circles of e's two arcs.
     """
     _require_valid(g)
     fs = g.embedding.faces
-    arc_eps: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    ep_arc: dict[tuple[int, int], tuple[int, int]] = {}
-    for fid, walk in enumerate(fs.faces):
-        m = len(walk)
-        for i in range(m):
-            _u1, v1, e1 = walk[i]
-            _u2, _v2, e2 = walk[(i + 1) % m]
-            # corner at v1 between e1 and e2 inside face fid
-            if g.is_painted(e1) and not g.is_painted(e2):
-                arc, ep = (e1, fid), (v1, e2)
-            elif g.is_painted(e2) and not g.is_painted(e1):
-                arc, ep = (e2, fid), (v1, e1)
-            else:
-                continue
-            arc_eps.setdefault(arc, []).append(ep)
-            if ep in ep_arc:
-                raise RuntimeError("endpoint reused; painting is not a matching")
-            ep_arc[ep] = arc
-    for arc, eps in arc_eps.items():
-        if len(eps) != 2:
-            raise RuntimeError(f"arc {arc} has {len(eps)} endpoints")
-        eps.sort()
-
+    tail, edge, rev, nxt, prv, face = fs.tail, fs.edge, fs.rev, fs.nxt, fs.prv, fs.face
+    painted = [g.is_painted(e) for e in edge]
+    arcs_in_order = sorted((p for p, pd in enumerate(painted) if pd), key=lambda p: (edge[p], face[p]))
+    circle = [-1] * len(edge)  # circle id of each painted dart
     circles: list[KnotCircle] = []
-    arc_circle: dict[tuple[int, int], int] = {}
-    for start in sorted(arc_eps):
-        if start in arc_circle:
+    for start in arcs_in_order:
+        if circle[start] >= 0:
             continue
-        cid = len(circles)
-        arcs = [start]
+        arcs: list[tuple[int, int]] = []
         segments: list[int] = []
-        arc_circle[start] = cid
-        ep = arc_eps[start][0]
-        while True:
-            v, x = ep
-            v2 = g.other_end(x, v)
-            segments.append(x)
-            nxt = ep_arc[(v2, x)]
-            if nxt == start:
-                break
-            arcs.append(nxt)
-            arc_circle[nxt] = cid
-            a, b = arc_eps[nxt]
-            ep = a if b == (v2, x) else b
+        p, t = start, min(prv[start], nxt[rev[start]], key=tail.__getitem__)
+        while circle[p] < 0:
+            circle[p] = len(circles)
+            arcs.append((edge[p], face[p]))
+            segments.append(edge[t])
+            u = rev[t]
+            p = nxt[u] if painted[nxt[u]] else rev[prv[u]]
+            t = nxt[rev[p]] if prv[p] == u else prv[p]  # the end the walk did not come in by
         circles.append(KnotCircle(tuple(arcs), tuple(segments)))
-
-    links = []
-    for e in g.painted:
-        f1, f2 = sorted(fs.edge_faces[e])
-        pair = tuple(sorted((arc_circle[(e, f1)], arc_circle[(e, f2)])))
-        links.append((e, pair))
+    links = [(edge[p], tuple(sorted((circle[p], circle[rev[p]])))) for p in arcs_in_order[::2]]
     return KnotStructure(tuple(circles), tuple(links))
 
 
@@ -247,22 +221,18 @@ def classify_bprime(g: PaintedGraph) -> BPrimeVerdict:
 
     A once-painted non-trivial cut witnesses b-compositeness; if every
     non-trivial cut is thrice-painted the graph is b-prime.  The Borromean
-    crushtacean is neither and is special-cased before the criterion.
+    crushtacean is neither and is special-cased before the criterion; it is
+    the only valid one on 4 vertices, as K4 is the only cubic simple graph
+    there and its automorphisms move any perfect matching to any other.
     """
     _require_valid(g)
-    if g.vertex_count == 4 and _is_borromean(g):
+    if g.vertex_count == 4:
         return BPrimeVerdict("borromean_special")
     for cut in three_edge_cuts(g):
         if cut.painted_count < 3:
             witness = tuple(g.edges[e] for e in cut.edges)
             return BPrimeVerdict("b_composite", witness=witness)
     return BPrimeVerdict("b_prime", note=NOTE_NONTRIVIAL_CUTS)
-
-
-def _is_borromean(g: PaintedGraph) -> bool:
-    from .families import gamma_borromean
-
-    return find_isomorphism(g, gamma_borromean(), respect_painting=True) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +283,7 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
     from .families import gamma_ochain, gamma_pretzel
 
     _require_valid(g)
-    if g.vertex_count == 4 and _is_borromean(g):
+    if g.vertex_count == 4:
         return ReflectionMultiplicity("borromean", None, 3)
     if g.vertex_count % 2 == 0 and g.vertex_count >= 6:
         n = g.vertex_count // 2

@@ -13,7 +13,9 @@ the greedy generators); and the catalog oracle (``realize``, ``candidate_tags``,
 realizations of every catalog tag by centre and derived subgroup, the
 reference for the orientation-split ``identify``.  ``position_faces``
 and ``indexed_cycle_expand`` trace faces and expand cycles with a position
-or index dict per edge-end instead of the dart table of ``faces``.
+or index dict per edge-end instead of the dart table of ``faces``, and
+``corner_knot_circles`` traces the knot circles from dicts over the faces'
+corners, the reference for ``knot_circles``.
 """
 
 import json
@@ -43,6 +45,7 @@ from crushtacean import (
     planar_embed,
 )
 from crushtacean.automorphism import _Darts, _extend
+from crushtacean.classify import KnotCircle, KnotStructure, _require_valid
 from crushtacean.groups import DEFAULT_CAP, GroupSignature
 
 
@@ -647,6 +650,69 @@ def indexed_cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, tuple]:
             k = ids.index(min(ids))
             rows.append(tuple(ids[k:] + ids[:k]))
     return replace(out, rotation=tuple(rows)), tuple(rows)
+
+
+def corner_knot_circles(g: PaintedGraph) -> KnotStructure:
+    """Trace the knot circles of the encoded link.
+
+    Each painted edge contributes two parallel arcs, one per adjacent face;
+    each unpainted edge carries exactly one connecting segment.  Circles are
+    traversal orbits of the arc-segment gluing, emitted in canonical order.
+    """
+    _require_valid(g)
+    fs = g.embedding.faces
+    arc_eps: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    ep_arc: dict[tuple[int, int], tuple[int, int]] = {}
+    for fid, walk in enumerate(fs.faces):
+        m = len(walk)
+        for i in range(m):
+            _u1, v1, e1 = walk[i]
+            _u2, _v2, e2 = walk[(i + 1) % m]
+            # corner at v1 between e1 and e2 inside face fid
+            if g.is_painted(e1) and not g.is_painted(e2):
+                arc, ep = (e1, fid), (v1, e2)
+            elif g.is_painted(e2) and not g.is_painted(e1):
+                arc, ep = (e2, fid), (v1, e1)
+            else:
+                continue
+            arc_eps.setdefault(arc, []).append(ep)
+            if ep in ep_arc:
+                raise RuntimeError("endpoint reused; painting is not a matching")
+            ep_arc[ep] = arc
+    for arc, eps in arc_eps.items():
+        if len(eps) != 2:
+            raise RuntimeError(f"arc {arc} has {len(eps)} endpoints")
+        eps.sort()
+
+    circles: list[KnotCircle] = []
+    arc_circle: dict[tuple[int, int], int] = {}
+    for start in sorted(arc_eps):
+        if start in arc_circle:
+            continue
+        cid = len(circles)
+        arcs = [start]
+        segments: list[int] = []
+        arc_circle[start] = cid
+        ep = arc_eps[start][0]
+        while True:
+            v, x = ep
+            v2 = g.other_end(x, v)
+            segments.append(x)
+            nxt = ep_arc[(v2, x)]
+            if nxt == start:
+                break
+            arcs.append(nxt)
+            arc_circle[nxt] = cid
+            a, b = arc_eps[nxt]
+            ep = a if b == (v2, x) else b
+        circles.append(KnotCircle(tuple(arcs), tuple(segments)))
+
+    links = []
+    for e in g.painted:
+        f1, f2 = sorted(fs.edge_faces[e])
+        pair = tuple(sorted((arc_circle[(e, f1)], arc_circle[(e, f2)])))
+        links.append((e, pair))
+    return KnotStructure(tuple(circles), tuple(links))
 
 
 def dual_nerve(g: PaintedGraph) -> tuple[bool, bool]:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -179,12 +180,25 @@ def test_knot_circle_bookkeeping(rng):
 
 
 def test_expansion_knot_circles_are_seed_faces(rng):
+    """Output vertex d of ``cycle_expand`` is the seed's dart d: each knot
+    circle runs around one seed face, its segments (d, nxt[d]) the corners
+    of face[rev[d]], and the crossing circle of painted edge (d, rev[d])
+    links the circles of the two faces beside the seed's edge[d]."""
     for seed in [wheel(5), prism(4), random_cubic_planar(rng, 6)]:
-        face_count = len(seed.embedding.faces)
+        fs = seed.embedding.faces
         ex, _ = cycle_expand(seed)
         ks = knot_circles(ex)
-        assert ks.knot_circle_count == face_count
+        assert ks.knot_circle_count == len(fs)
         assert ks.crossing_circle_count == seed.edge_count
+        circle_face = []
+        for c in ks.circles:
+            darts = [a if fs.nxt[a] == b else b for a, b in (ex.edges[x] for x in c.segments)]
+            (f,) = {fs.face[fs.rev[d]] for d in darts}
+            circle_face.append(f)
+        assert sorted(circle_face) == list(range(len(fs)))
+        for e, (a, b) in ks.crossing_links:
+            d, _r = ex.edges[e]
+            assert tuple(sorted((circle_face[a], circle_face[b]))) == fs.edge_faces[fs.edge[d]]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +237,22 @@ def test_cuts_require_cubic():
     k33 = painted_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
     with pytest.raises(NonplanarError):
         three_edge_cuts(k33)
+
+
+@pytest.mark.parametrize("matching", [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]])
+def test_every_valid_k4_is_the_borromean_graph(matching):
+    """K4 is the only cubic simple graph on 4 vertices and its automorphisms
+    move any perfect matching to any other, so every labelling of every
+    matching, in either orientation, is reported as the Borromean graph."""
+    want = json.dumps(symmetry_report(gamma_borromean()).to_json_dict())
+    k4 = painted_graph(4, K4_EDGES, matching)
+    for perm in permutations(range(4)):
+        g = relabel(k4, perm)
+        for h in (g, replace(g, rotation=mirror(planar_embed(g)))):
+            assert classify_bprime(h).tag == "borromean_special"
+            r = detect_reflection_multiplicity(h)
+            assert (r.tag, r.n, r.surface_count) == ("borromean", None, 3)
+            assert json.dumps(symmetry_report(h).to_json_dict()) == want
 
 
 def test_bprime_verdicts():

@@ -1,6 +1,6 @@
-"""Property tests of the planarity test, the faces' dart table, the
-automorphism engine, the 3-connectivity check, the rotations files carry,
-and the report.
+"""Property tests of the planarity test, the faces' dart table, the knot
+circles, the automorphism engine, the 3-connectivity check, the rotations
+files carry, and the report.
 
 Graphs come from the seeded generators in ``helpers``, driven by a
 Hypothesis-controlled ``random.Random``, so a failing case shrinks to a
@@ -28,6 +28,7 @@ from crushtacean import (
     find_isomorphism,
     groups,
     identify,
+    knot_circles,
     painted_graph,
     parse_graph,
     planar_embed,
@@ -52,6 +53,7 @@ from helpers import (
     base_fixers,
     brute_automorphism_count,
     catalog_identify,
+    corner_knot_circles,
     flip_block,
     full_signature,
     greedy_generators,
@@ -403,6 +405,31 @@ def test_dart_table_matches_the_position_dict_oracles(rng, kind, n):
             assert (tail[nxt[d]], edge[nxt[d]]) == (tail[d], row[(row.index(edge[d]) + 1) % len(row)])
             assert prv[nxt[d]] == d
             assert (tail[d], tail[rev[d]], edge[d]) in fs.faces[face[d]]
+
+
+@PROPERTY
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["crushtacean", "pretzel", "ochain", "depth 1", "depth 2"]),
+    seed=st.sampled_from(["cubic", "prism", "wheel", "antiprism"]),
+    n=st.integers(3, 12),
+)
+def test_knot_circles_match_the_corner_tracer(rng, kind, seed, n):
+    """The orbit walk on the dart table finds the circles, arcs, segments
+    and crossing links the corner-dict tracer finds, in the same order, on
+    random crushtaceans, chains and the expansions of a seed, each as
+    given, relabelled, and with the relabelled rotation mirrored."""
+    if kind == "crushtacean":
+        g = random_crushtacean(rng, n)
+    elif kind in NAMED:
+        g = NAMED[kind](n)
+    else:
+        g = random_cubic_planar(rng, n) if seed == "cubic" else NAMED[seed](n)
+        for _ in range(int(kind[-1])):
+            g, _rot = cycle_expand(g)
+    h = relabel(g, shuffled(rng, g.vertex_count))
+    for x in (g, h, replace(h, rotation=mirror(h.embedding.rotation))):
+        assert knot_circles(x) == corner_knot_circles(x)
 
 
 def planarity_input(rng, kind: str, size: int):
