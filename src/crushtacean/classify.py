@@ -280,7 +280,7 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
     squares and two n-gons for the pretzel chain, two triangles, m - 1
     squares and two (m + 2)-gons for the o-chain of m links.
     """
-    from .families import gamma_ochain, gamma_pretzel
+    from .families import _ochain, _pretzel  # g's size: no MAX_VERTICES bound
 
     _require_valid(g)
     if g.vertex_count == 4:
@@ -289,10 +289,10 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
         n = g.vertex_count // 2
         sizes = Counter(g.embedding.faces.face_sizes())
         if sizes == Counter({4: n}) + Counter({n: 2}):
-            if find_isomorphism(g, gamma_pretzel(n), True) is not None:
+            if find_isomorphism(g, _pretzel(n), True) is not None:
                 return ReflectionMultiplicity("pretzel", n, 2)
         if sizes == Counter({3: 2, 4: n - 2}) + Counter({n + 1: 2}):  # m = n - 1 links
-            if find_isomorphism(g, gamma_ochain(n - 1), True) is not None:
+            if find_isomorphism(g, _ochain(n - 1), True) is not None:
                 return ReflectionMultiplicity("o_chain", n - 1, 2)
     return ReflectionMultiplicity("unique", None, 1)
 

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation verdict false, 2 unusable input
-(parse errors, IO failures, unknown catalog targets, bad parameters),
-3 search cap exceeded.  Results go to stdout as JSON (or SVG/DOT for
-render); diagnostics go to stderr.
+(parse errors, IO failures, unknown catalog targets, bad parameters, out
+of memory), 3 search cap exceeded.  Results go to stdout as JSON (or
+SVG/DOT for render); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (CrushtaceanError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CrushtaceanError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -62,6 +62,10 @@ def gamma_pretzel(n: int) -> PaintedGraph:
     """Chain of n crossing circles in a cycle: the n-prism with every rung
     painted.  Vertices 0..n-1 are the top cycle, n..2n-1 the bottom."""
     _require_vertices(2 * n)
+    return _pretzel(n)
+
+
+def _pretzel(n: int) -> PaintedGraph:
     if n < 3:
         raise ValueError("pretzel chain needs at least three links")
     edges: list[Edge] = [(i, (i + 1) % n) for i in range(n)]
@@ -83,6 +87,10 @@ def gamma_ochain(n: int) -> PaintedGraph:
     x = 2n (left, joining top 0 and bottom n) and y = 2n+1 (right).
     """
     _require_vertices(2 * n + 2)
+    return _ochain(n)
+
+
+def _ochain(n: int) -> PaintedGraph:
     if n < 2:
         raise ValueError("chain needs at least two links")
     x, y = 2 * n, 2 * n + 1

@@ -1,14 +1,14 @@
 """Finite permutation groups, their orientation split, and identification.
 
-A group is held as the Schreier tree (Sims 1970) that ``_grow`` builds of
-its base's images; only the identity fixes the base: the base flag's three
-vertices for ``automorphisms`` (Weinberg 1966), every point for ``close``.
-Vertex images are products of bare image tuples, and the sorted elements
-and greedy generators are built only when asked.  The automorphism group
-of a 3-connected planar graph acts on the sphere as a finite subgroup of
-O(3) (Mani 1971), and ``automorphisms`` signs each element +1 or -1 as it
-keeps or reverses the rotations.  The catalog tag (cyclic, dihedral,
-those times Z2, Klein, or one of six polyhedral types) is read off the split.
+A group is held as its moves, each outside the orbit of those before it,
+and the Schreier tree (Sims 1970) that ``_grow`` builds of its base's
+images; only the identity fixes the base: the base flag's three vertices
+for ``automorphisms`` (Weinberg 1966), every point for ``close``.  The
+moves are the generators; the sorted elements are built when asked.  The
+automorphism group of a 3-connected planar graph acts on the sphere as a
+finite subgroup of O(3) (Mani 1971); ``automorphisms`` signs each element
++1 or -1 as it keeps or reverses the rotations, and the catalog tag (cyclic,
+dihedral, those times Z2, Klein, or six polyhedral types) is read off the split.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class PermGroup:
     orbit of ``base``: element 0 is the identity, element i is moves[k]
     after element j for (j, k) = tree[i - 1], and only the identity fixes
     every point of ``base``.  Sphere symmetries are also signed in that
-    order, +1 where they keep the orientation.  The sorted elements, their
-    signs and the greedy generators are built when first asked; equality
-    compares those."""
+    order, +1 where they keep the orientation.  The moves are the
+    generators; the sorted elements and their signs are built when first
+    asked, and equality compares those."""
 
     degree: int
     base: tuple[int, ...]
@@ -61,21 +61,23 @@ class PermGroup:
     def order(self) -> int:
         return len(self.tree) + 1
 
-    def images(self) -> Iterator[Image]:
-        """Each element's image tuple in tree order, one product each, kept
-        only until the last element built on it (moves have degree >= 2)."""
-        last = {j: i for i, (j, _k) in enumerate(self.tree, 1)}
-        live = {0: tuple(range(self.degree))}
-        yield live[0]
-        for i, (j, k) in enumerate(self.tree, 1):
-            x = itemgetter(*(live[j] if last[j] > i else live.pop(j)))(self.moves[k])
-            if i in last:
-                live[i] = x
-            yield x
+    def images(self) -> Iterator[tuple[int, Image]]:
+        """Each element's index and image, depth first, smaller subtrees first,
+        one product each (degree >= 2): at most log2(order) + 1 images live."""
+        size, kids = [1] * self.order, [[] for _ in range(self.order)]
+        for i, (j, _k) in reversed(list(enumerate(self.tree, 1))):  # children after parents
+            size[j] += size[i]
+            kids[j].append(i)
+        stack = [(0, tuple(range(self.degree)))]  # the root's image, else the parent's
+        while stack:
+            i, x = stack.pop()
+            x = itemgetter(*x)(self.moves[self.tree[i - 1][1]]) if i else x
+            yield i, x
+            stack += [(c, x) for c in sorted(kids[i], key=size.__getitem__, reverse=True)]
 
     @cached_property
     def _sorted(self) -> list[tuple[Image, int]]:
-        return sorted(zip(self.images(), range(self.order)))
+        return sorted((x, i) for i, x in self.images())
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
@@ -87,39 +89,27 @@ class PermGroup:
         s = self.orbit_signs
         return None if s is None else tuple(s[i] for _x, i in self._sorted)
 
-    @cached_property
+    @property
     def generators(self) -> tuple[Permutation, ...]:
-        """Greedy: each element, in sorted order, that the ones chosen before
-        it do not generate, that is whose base images their span, grown
-        with each pick, does not reach."""
-        gens: list[Image] = []
-        span = {self.base: None}
-        for x, _i in self._sorted:
-            if len(span) < self.order and _mul(x, self.base) not in span:
-                _grow(span, gens, x, self.order)
-        return tuple(map(Permutation, gens))
+        """The moves: each lies outside the orbit of the ones before it."""
+        return tuple(map(Permutation, self.moves))
 
     def __eq__(self, other: object) -> bool:
-        key = attrgetter("degree", "generators", "elements", "signs")
+        key = attrgetter("degree", "elements", "signs")
         return isinstance(other, PermGroup) and key(self) == key(other)
-
-
-def _mul(p: Image, q: Image) -> Image:
-    """Composition of image tuples: (p * q)(x) = p(q(x))."""
-    return tuple(map(p.__getitem__, q))
 
 
 def _grow(reached: dict, moves: list, move: Image, cap: int) -> None:
     """Append ``move`` to ``moves`` and grow their orbit ``reached``, which
-    maps each image tuple, in order, to (j, k): moves[k] times the j-th one.
-    Old points need only the new move, new points every move; past ``cap``
-    points it raises CapExceededError."""
+    maps each image tuple (of length >= 2), in order, to (j, k): moves[k]
+    after the j-th one.  Old points need only the new move, new points every
+    move; past ``cap`` points it raises CapExceededError."""
     moves.append(move)
     queue = list(reached)
     old = len(queue)
     for i, x in enumerate(queue):  # the loop visits the points it appends
         for k in range(len(moves) - 1 if i < old else 0, len(moves)):
-            y = _mul(moves[k], x)
+            y = itemgetter(*x)(moves[k])
             if y not in reached:
                 reached[y] = (i, k)
                 queue.append(y)
@@ -133,8 +123,8 @@ def close(
     cap: int = DEFAULT_CAP,
 ) -> PermGroup:
     """Close a generator list under multiplication: the orbit of the
-    identity, grown one generator at a time, with ``cap`` as in ``_grow``;
-    every point is the group's base."""
+    identity, grown by each generator outside it, with ``cap`` as in
+    ``_grow``; every point is the group's base."""
     gens = tuple(generators)
     if degree is None:
         degree = len(gens[0].image) if gens else 0
@@ -144,7 +134,8 @@ def close(
         raise CapExceededError(f"automorphism count exceeded cap of {cap}")
     reached, moves = {tuple(range(degree)): None}, []
     for p in gens:
-        _grow(reached, moves, p.image, cap)
+        if p.image not in reached:
+            _grow(reached, moves, p.image, cap)
     return PermGroup(degree, next(iter(reached)), tuple(moves), tuple(reached.values())[1:])
 
 
@@ -179,10 +170,10 @@ def signature(g: PermGroup) -> GroupSignature:
     if g.orbit_signs is None:
         raise PreconditionError("the group carries no orientation signs")
     rotations, rotation_max, max_order, central = 0, 0, 0, False
-    for p, s in zip(g.images(), g.orbit_signs):
+    for i, p in g.images():
         k = _base_order(p, g.base)
         max_order = max(max_order, k)
-        if s > 0:
+        if g.orbit_signs[i] > 0:
             rotations += 1
             rotation_max = max(rotation_max, k)
         elif k == 2 and not central:

@@ -7,8 +7,8 @@ by dualizing stacked triangulations (always simple, cubic, planar and
 3-connected) and painting a maximum matching.  Two references reuse
 library parts: ``scan_automorphisms``, the engine's own flag extension
 run over every candidate flag, is the reference for the flag-orbit search
-(``greedy_generators`` closes each span from scratch, the reference for
-the greedy generators); and the catalog oracle (``realize``, ``candidate_tags``,
+(``check_irredundant_generators`` closes each span of its moves from
+scratch); and the catalog oracle (``realize``, ``candidate_tags``,
 ``catalog_identify``) matches any permutation group against concrete
 realizations of every catalog tag by centre and derived subgroup, the
 reference for the orientation-split ``identify``.  ``position_faces``
@@ -554,16 +554,17 @@ def base_fixers(grp: PermGroup) -> int:
     )
 
 
-def greedy_generators(grp: PermGroup) -> list[tuple]:
-    """Each element's image, in sorted order, that the ones chosen before it
-    do not generate (their span closed from scratch)."""
-    gens: list[tuple] = []
-    span = {tuple(range(grp.degree))}
-    for x in sorted(p.image for p in grp.elements):
-        if x not in span:
-            gens.append(x)
-            span = close_tuples(gens)
-    return gens
+def check_irredundant_generators(grp: PermGroup) -> None:
+    """The generators are the moves, each outside the span of the ones
+    before it (closed from scratch), and together they span the elements;
+    so each at least doubles the span, and there are at most
+    floor(log2 |G|) of them."""
+    gens = [p.image for p in grp.generators]
+    assert gens == list(grp.moves)
+    for k, x in enumerate(gens):
+        assert x not in close_tuples(gens[:k], grp.degree)
+    assert close_tuples(gens, grp.degree) == {p.image for p in grp.elements}
+    assert len(gens) <= grp.order.bit_length() - 1
 
 
 def from_elements(signed: dict, degree: int) -> PermGroup:

@@ -320,6 +320,20 @@ def test_reflection_multiplicity_branches():
     assert detect_reflection_multiplicity(ex).tag == "unique"
 
 
+def test_reflection_templates_ignore_the_construction_bound(monkeypatch):
+    """A template has the size of g, which is already built: the bound on
+    the graphs ``gen`` and ``family`` build does not apply to it."""
+    from crushtacean import families
+
+    chains = gamma_ochain(12), gamma_pretzel(12)  # 26 and 24 vertices
+    monkeypatch.setattr(families, "MAX_VERTICES", 20)
+    for g, want in zip(chains, [("o_chain", 12, 2), ("pretzel", 12, 2)]):
+        r = detect_reflection_multiplicity(g)
+        assert (r.tag, r.n, r.surface_count) == want
+    with pytest.raises(PreconditionError):
+        gamma_pretzel(12)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_reflection_finds_relabelled_chains_in_their_mirror_image(rng, n):
     """The templates are built only on a face-size match; a relabelled

@@ -259,11 +259,12 @@ OVERSIZED = {
 }
 
 
-def run_in_1gib(tmp_path, argv) -> subprocess.CompletedProcess:
-    """The CLI in a child limited to 1 GiB of address space, so that a
-    build too large for it fails the test instead of exhausting memory."""
+def run_capped(tmp_path, argv, limit=1 << 30) -> subprocess.CompletedProcess:
+    """The CLI in a child limited to ``limit`` bytes (1 GiB) of address
+    space, so that a build too large for it fails the test instead of
+    exhausting memory."""
     script = (
-        "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
         f"import crushtacean.cli; raise SystemExit(crushtacean.cli.main({argv!r}))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -282,7 +283,7 @@ def test_oversized_parameters_exit_two(tmp_path, case):
     assert MAX_VERTICES == 10**5 < vertices
     if case == "expand":
         write_graph(tmp_path, argv[1], prism(5556))
-    proc = run_in_1gib(tmp_path, argv)
+    proc = run_capped(tmp_path, argv)
     want = f"error: the graph would have {vertices} vertices, more than {MAX_VERTICES}\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
@@ -291,10 +292,36 @@ def test_gen_wheel_with_a_wide_hub(tmp_path):
     """The 3-connectivity check of the embedding takes O(E) space whatever
     the degrees: the 20000-wheel's hub meets 20000 faces (2 * 10**8 pairs
     of them)."""
-    proc = run_in_1gib(tmp_path, ["gen", "wheel", "20000", "-o", "w.json"])
+    proc = run_capped(tmp_path, ["gen", "wheel", "20000", "-o", "w.json"])
     assert (proc.returncode, proc.stderr) == (0, "")
     g, _rot = parse_graph((tmp_path / "w.json").read_text())
     assert g.degree(20000) == 20000
+
+
+@pytest.mark.parametrize("command, make", [("aut", prism), ("classify", gamma_pretzel)])
+def test_large_groups_fit_in_128_mib(tmp_path, command, make):
+    """The 8000 automorphisms of the 2000-prism and the 8000 painted ones
+    of the 2000-link pretzel chain are read with a few vertex images alive
+    at once, not half of them."""
+    path = write_graph(tmp_path, "g.json", make(2000))
+    proc = run_capped(tmp_path, [command, path], limit=128 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["group_id"] == "D2000xZ2"
+    assert doc["order" if command == "aut" else "aut_p_order"] == 8000
+
+
+def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
+    """Running out of memory is one error line and exit 2, not a traceback
+    with exit 1, which means a negative verdict."""
+
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    path = write_graph(tmp_path, "b.json", gamma_borromean())
+    monkeypatch.setattr("crushtacean.cli.automorphisms", exhausted)
+    code, out, err = run(capsys, "aut", path)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_classify_refuses_a_seed_of_the_wrong_size_before_expanding_it(tmp_path):
@@ -308,7 +335,7 @@ def test_classify_refuses_a_seed_of_the_wrong_size_before_expanding_it(tmp_path)
     edges = rim + [(n + u, n + v) for u, v in rim] + [(i, n + i) for i in range(n)]
     write_graph(tmp_path, "seed.json", painted_graph(2 * n, edges))
     write_graph(tmp_path, "b.json", gamma_borromean())
-    proc = run_in_1gib(tmp_path, ["classify", "b.json", "--seed", "seed.json"])
+    proc = run_capped(tmp_path, ["classify", "b.json", "--seed", "seed.json"])
     want = "error: expansion_seed does not expand to the given graph\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
@@ -317,7 +344,7 @@ def test_expand_edgeless_graph_with_a_huge_count_exits_two(tmp_path):
     (tmp_path / "one.json").write_text(
         '{"format": "painted-graph/1", "vertices": 1, "edges": [], "painted": []}'
     )
-    proc = run_in_1gib(tmp_path, ["expand", "one.json", "-n", str(10**12)])
+    proc = run_capped(tmp_path, ["expand", "one.json", "-n", str(10**12)])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ")
 

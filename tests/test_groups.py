@@ -33,11 +33,11 @@ from helpers import (
     candidate_tags,
     catalog_identify,
     catalog_signature,
+    check_irredundant_generators,
     chorded_cube,
     close_tuples,
     from_cycles,
     full_signature,
-    greedy_generators,
     gyro,
     perm_compose,
     perm_inverse,
@@ -292,9 +292,10 @@ def test_identify_klein_vs_z4():
 
 
 def test_helper_closure_matches_library():
-    """``close`` against the plain-tuple BFS: the same elements, the greedy
-    generators of spans closed from scratch, and a cap one below the order
-    refused."""
+    """``close`` against the plain-tuple BFS: the same elements, each once,
+    the given generators that are new to the span of the ones before them,
+    in input order, and a cap one below the order refused; element i is
+    moves[k] after element j, in ``perm_compose``'s order."""
     cases = [  # generators, degree, order
         ([(1, 2, 0, 3), (0, 1, 3, 2)], 4, 24),
         ([(1, 2, 0, 3), (0, 1, 3, 2), (2, 0, 1, 3)], 4, 24),  # redundant: the 3-cycle's inverse
@@ -307,10 +308,13 @@ def test_helper_closure_matches_library():
     for gens, degree, order in cases:
         lib = close([Permutation(g) for g in gens], degree=degree)
         assert lib.order == order
-        assert {p.image for p in lib.elements} == close_tuples(gens, degree)
-        assert [p.image for p in lib.generators] == greedy_generators(lib)
+        assert sorted(p.image for p in lib.elements) == sorted(close_tuples(gens, degree))
+        new = [x for k, x in enumerate(gens) if x not in close_tuples(gens[:k], degree)]
+        assert [p.image for p in lib.generators] == new
+        check_irredundant_generators(lib)
         with pytest.raises(CapExceededError):
             close([Permutation(g) for g in gens], degree=degree, cap=order - 1)
-    gens = cases[0][0]
-    prod = perm_compose(gens[0], gens[1])
-    assert prod == groups._mul(gens[0], gens[1])
+    lib = close([Permutation(g) for g in cases[0][0]])
+    image = dict(lib.images())  # element i is moves[k] after element j
+    for i, (j, k) in enumerate(lib.tree, 1):
+        assert image[i] == perm_compose(lib.moves[k], image[j])

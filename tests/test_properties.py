@@ -53,10 +53,10 @@ from helpers import (
     base_fixers,
     brute_automorphism_count,
     catalog_identify,
+    check_irredundant_generators,
     corner_knot_circles,
     flip_block,
     full_signature,
-    greedy_generators,
     hung_blocks,
     indexed_cycle_expand,
     mirror,
@@ -148,14 +148,15 @@ NAMED = {
 )
 def test_search_matches_the_full_flag_scan(rng, kind, n, expanded, painted):
     """Skipping the flags the maps found so far reach gives the group of
-    the full scan: the same sorted elements, greedy generators and signs."""
+    the full scan: the same sorted elements and signs, and irredundant
+    generators."""
     g = random_crushtacean(rng, n) if kind == "crushtacean" else NAMED[kind](n)
     if expanded:
         g = cycle_expand(g)[0]
     g = relabel(g, shuffled(rng, g.vertex_count))
     grp = automorphisms(g, painted)
     assert grp == scan_automorphisms(g, painted)
-    assert [p.image for p in grp.generators] == greedy_generators(grp)
+    check_irredundant_generators(grp)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -169,12 +170,13 @@ def test_search_matches_the_full_flag_scan(rng, kind, n, expanded, painted):
 @example(rng=random.Random(0), kind="wheel", n=200, painted=False)
 def test_large_groups_match_the_full_flag_scan(rng, kind, n, painted):
     """The flag orbit gives the full scan's group on prisms and wheels of up
-    to 800 automorphisms: the same elements, generators and signs."""
+    to 800 automorphisms: the same elements and signs, and irredundant
+    generators."""
     g = NAMED[kind](n)
     g = relabel(g, shuffled(rng, g.vertex_count))
     grp = automorphisms(g, painted)
     assert grp == scan_automorphisms(g, painted)
-    assert [p.image for p in grp.generators] == greedy_generators(grp)
+    check_irredundant_generators(grp)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
