@@ -276,9 +276,9 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
     surfaces; everything else has exactly one.
 
     Face sizes are an isomorphism invariant of a graph with one embedding,
-    so a family template is built only when g has its face sizes: n
-    squares and two n-gons for the pretzel chain, two triangles, m - 1
-    squares and two (m + 2)-gons for the o-chain of m links.
+    so a template, carrying its rotation, is built only when g has its face
+    sizes: n squares and two n-gons for the pretzel chain, two triangles,
+    m - 1 squares and two (m + 2)-gons for the o-chain of m links.
     """
     from .families import _ochain, _pretzel  # g's size: no MAX_VERTICES bound
 
@@ -385,7 +385,9 @@ def symmetry_report(
     When g is an iterated-expansion member, passing the graph it was
     expanded from unlocks the not-a-signature-link screen and with it the
     complement determination; without provenance the complement is Unknown
-    outside the exceptional families.
+    outside the exceptional families.  The seed's darts are mapped onto g's
+    vertices (``families.expands_to``), no expansion built; a seed that
+    does not match raises PreconditionError.
     """
     check = validate_crushtacean(g)
     if not check.valid:
@@ -406,12 +408,9 @@ def symmetry_report(
     screen = SCREEN_INCONCLUSIVE
     notes: list[str] = []
     if expansion_seed is not None:
-        from .families import cycle_expand
+        from .families import expands_to
 
-        edges = expansion_seed.edge_count  # its expansion has 2E vertices and 3E edges
-        if (g.vertex_count, g.edge_count) != (2 * edges, 3 * edges) or (
-            find_isomorphism(cycle_expand(expansion_seed)[0], g, respect_painting=True) is None
-        ):
+        if not expands_to(expansion_seed, g):
             raise PreconditionError("expansion_seed does not expand to the given graph")
         screen = signature_screen(expansion_seed)
         notes.append("expansion provenance verified against supplied seed")

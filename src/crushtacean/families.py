@@ -12,6 +12,7 @@ links with a prescribed orientation-preserving symmetry group.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .automorphism import automorphisms
@@ -71,7 +72,16 @@ def _pretzel(n: int) -> PaintedGraph:
     edges: list[Edge] = [(i, (i + 1) % n) for i in range(n)]
     edges += [(n + i, n + (i + 1) % n) for i in range(n)]
     rungs = [(i, n + i) for i in range(n)]
-    return painted_graph(2 * n, edges + rungs, painted=rungs)
+    around = [((i + 1) % n, n + i, (i - 1) % n) for i in range(n)]
+    around += [(n + (i + 1) % n, n + (i - 1) % n, i) for i in range(n)]
+    return _with_rotation(painted_graph(2 * n, edges + rungs, painted=rungs), around)
+
+
+def _with_rotation(g: PaintedGraph, around) -> PaintedGraph:
+    """g carrying the rotation that lists v's neighbours in the order ``around[v]``."""
+    index = g.edge_index
+    rows = (_canon_row([index[(v, w) if v < w else (w, v)] for w in row]) for v, row in enumerate(around))
+    return replace(g, rotation=tuple(rows))
 
 
 def gamma_ochain(n: int) -> PaintedGraph:
@@ -101,21 +111,22 @@ def _ochain(n: int) -> PaintedGraph:
     edges += [(0, x), (n, x), (1, y), (n + 1, y)]
     rungs = [(i, n + i) for i in range(n)]
     painted = rungs + [(x, y)]
-    g = painted_graph(2 * n + 2, edges + rungs + [(x, y)], painted=painted)
+    g = painted_graph(2 * n + 2, edges + painted, painted=painted)
+    # the planarity test's rotation, which it gives mirrored at n = 2 (the triangular prism)
+    top, bottom = [y, *range(1, n), 0, x], [y, *range(n + 1, 2 * n), n, x]
+    around: list = [None] * (2 * n + 2)
+    for k in range(1, n + 1):
+        around[top[k]] = (top[k - 1], top[k] + n, top[k + 1])
+        around[bottom[k]] = (bottom[k] - n, bottom[k - 1], bottom[k + 1])
+    around[x], around[y] = (0, n, y), (1, x, n + 1)
+    g = _with_rotation(g, around if n > 2 else [row[::-1] for row in around])
 
     # structural self-check: exactly two triangles, and p0 is the unique
     # painted edge touching both of them
-    fs = g.embedding.faces
-    tri = [
-        {d[0] for d in walk} for walk, s in zip(fs.faces, fs.face_sizes()) if s == 3
-    ]
+    tri = [{d[0] for d in walk} for walk in g.embedding.faces.faces if len(walk) == 3]
     if len(tri) != 2:
         raise RuntimeError(f"expected 2 triangles, found {len(tri)}")
-    meets_both = [
-        e
-        for e in g.painted
-        if set(g.edges[e]) & tri[0] and set(g.edges[e]) & tri[1]
-    ]
+    meets_both = [e for e in g.painted if set(g.edges[e]) & tri[0] and set(g.edges[e]) & tri[1]]
     if meets_both != [g.edge_index[(x, y)]] or not validate_crushtacean(g).valid:
         raise RuntimeError("o-chain construction is not the expected crushtacean")
     return g
@@ -231,24 +242,64 @@ def cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, Rotation]:
     """
     fs = g.embedding.faces
     rev, nxt, prv = fs.rev, fs.nxt, fs.prv
-
-    def norm(a: int, b: int) -> Edge:
-        return (a, b) if a < b else (b, a)
-
     painted = [(d, r) for d, r in enumerate(rev) if d < r]
-    cycles = [norm(d, c) for d, c in enumerate(nxt)]
-    out = painted_graph(2 * g.edge_count, painted + cycles, painted)
-    index = out.edge_index
-    rows = [
-        _canon_row((index[norm(d, rev[d])], index[norm(d, nxt[d])], index[norm(d, prv[d])]))
-        for d in range(len(rev))
-    ]
-    out = replace(out, rotation=tuple(rows))
+    out = painted_graph(2 * g.edge_count, painted + list(enumerate(nxt)), painted)
+    out = _with_rotation(out, zip(rev, nxt, prv))
     try:
         out.embedding
     except PreconditionError as exc:
         raise RuntimeError(f"expansion is not a 3-connected embedding: {exc}") from exc
     return out, out.rotation
+
+
+def expands_to(seed: PaintedGraph, g: PaintedGraph) -> bool:
+    """Is the valid crushtacean g the seed's cycle expansion, up to a
+    painted isomorphism?
+
+    Expansion vertex d is seed dart d.  With x the image of d and ``p[x]``
+    x's painted dart, such a map sends ``rev[d]`` to the head of ``p[x]``
+    and ``nxt[d]`` to the head of the dart after ``p[x]`` (before it, for a
+    mirror map), so one dart's image and a sign fix it (Weinberg 1966): a
+    breadth-first walk builds it one-to-one or meets a conflict.  It starts
+    at the seed dart of rarest invariant (end degrees, doubled sizes of the
+    faces beside it), at each x whose unpainted faces (at x and its partner)
+    and faces beside ``p[x]`` show it.  Sizes are compared before the seed
+    is embedded, which raises unless it is planar and 3-connected.
+    """
+    edges = seed.edge_count
+    if (g.vertex_count, g.edge_count) != (2 * edges, 3 * edges):
+        return False
+    s, t = seed.embedding.faces, g.embedding.faces
+    deg, s_size, t_size = [len(row) for row in seed.incident], s.face_sizes(), t.face_sizes()
+    ends = [(deg[s.tail[d]], deg[s.tail[r]]) for d, r in enumerate(s.rev)]
+    sides = [(2 * s_size[s.face[d]], 2 * s_size[s.face[r]]) for d, r in enumerate(s.rev)]
+    count = Counter([e + f for e, f in zip(ends, sides)] + [e + f[::-1] for e, f in zip(ends, sides)])
+    base = min(range(len(ends)), key=lambda d: (count[ends[d] + sides[d]], d))
+    paint = [d for d, e in enumerate(t.edge) if g.is_painted(e)]  # one per vertex, in vertex order
+    head = [t.tail[r] for r in t.rev]
+    mate = [head[p] for p in paint]
+    cycle = [t_size[t.face[t.prv[p]]] for p in paint]  # the unpainted face at each vertex
+
+    def walk(x: int, after: list[int]) -> bool:
+        img, used, queue = [-1] * len(ends), [False] * len(paint), [base]
+        img[base], used[x] = x, True
+        for d in queue:
+            for c, y in ((s.rev[d], mate[img[d]]), (s.nxt[d], after[img[d]])):
+                if img[c] < 0 and not used[y]:
+                    img[c], used[y] = y, True
+                    queue.append(c)
+                elif img[c] != y:
+                    return False
+        return True
+
+    key = ends[base] + sides[base]
+    for sign, step in ((1, t.nxt), (-1, t.prv)):
+        after = [head[step[p]] for p in paint]
+        for x, p in enumerate(paint):
+            a, b = (p, t.rev[p])[::sign]  # the faces beside p, swapped for a mirror map
+            if (cycle[x], cycle[mate[x]], t_size[t.face[a]], t_size[t.face[b]]) == key and walk(x, after):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

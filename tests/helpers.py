@@ -15,7 +15,9 @@ reference for the orientation-split ``identify``.  ``position_faces``
 and ``indexed_cycle_expand`` trace faces and expand cycles with a position
 or index dict per edge-end instead of the dart table of ``faces``, and
 ``corner_knot_circles`` traces the knot circles from dicts over the faces'
-corners, the reference for ``knot_circles``.
+corners, the reference for ``knot_circles``.  ``expands_by_isomorphism``
+re-expands a seed and matches the expansion against a graph with the
+painted isomorphism search, the reference for ``families.expands_to``.
 """
 
 import json
@@ -40,7 +42,9 @@ from crushtacean import (
     PreconditionError,
     close,
     cube,
+    cycle_expand,
     dual,
+    find_isomorphism,
     painted_graph,
     planar_embed,
 )
@@ -651,6 +655,15 @@ def indexed_cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, tuple]:
             k = ids.index(min(ids))
             rows.append(tuple(ids[k:] + ids[:k]))
     return replace(out, rotation=tuple(rows)), tuple(rows)
+
+
+def expands_by_isomorphism(seed: PaintedGraph, g: PaintedGraph) -> bool:
+    """``families.expands_to`` as the sizes, then the seed's re-expansion
+    and a painted isomorphism search against g.  Raises like it."""
+    edges = seed.edge_count
+    return (g.vertex_count, g.edge_count) == (2 * edges, 3 * edges) and (
+        find_isomorphism(cycle_expand(seed)[0], g, respect_painting=True) is not None
+    )
 
 
 def corner_knot_circles(g: PaintedGraph) -> KnotStructure:

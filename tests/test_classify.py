@@ -26,6 +26,7 @@ from crushtacean import (
     validate_crushtacean,
 )
 from crushtacean.families import (
+    antiprism,
     cube,
     dodecahedron,
     gamma_borromean,
@@ -375,6 +376,16 @@ def test_report_embeds_only_graphs_without_a_rotation(monkeypatch):
         assert len(calls) == want
 
 
+def test_report_builds_the_chain_templates_with_their_rotations(monkeypatch):
+    """A pretzel chain or an o-chain that carries its rotation is matched
+    against a template that carries one too: no planarity test runs."""
+    chains = [parse_graph(serialize_graph(g, planar_embed(g)))[0] for g in (gamma_pretzel(9), gamma_ochain(8))]
+    calls = count_planarity_tests(monkeypatch)
+    for g, tag in zip(chains, ("pretzel", "o_chain")):
+        assert symmetry_report(g).reflection.tag == tag
+    assert calls == []
+
+
 def test_report_validates_once(monkeypatch):
     """The report's stages read the verdict the report made, and a fresh
     graph is still checked before a stage runs on it."""
@@ -462,6 +473,50 @@ def test_report_rejects_wrong_provenance():
     ex, _ = cycle_expand(wheel(5))
     with pytest.raises(PreconditionError):
         symmetry_report(ex, expansion_seed=wheel(4))
+
+
+K33 = painted_graph(6, [(i, j + 3) for i in range(3) for j in range(3)])
+# K2,4 with its two hubs joined: planar, with 9 edges and a 2-vertex cut
+HUBBED_K24 = painted_graph(6, [(0, 1)] + [(h, v) for h in (0, 1) for v in range(2, 6)])
+NOT_3_CONNECTED = "graph is not 3-connected: two faces meet beyond one vertex or edge"
+NO_EXPANSION = "expansion_seed does not expand to the given graph"
+
+
+@pytest.mark.parametrize(
+    "seed,member,error,message",
+    [
+        (K33, prism(3), NonplanarError, "graph is not planar"),
+        (HUBBED_K24, prism(3), PreconditionError, NOT_3_CONNECTED),
+        (antiprism(3), cube(), PreconditionError, NO_EXPANSION),
+        (wheel(6), cube(), PreconditionError, NO_EXPANSION),
+    ],
+    ids=["nonplanar", "not_3_connected", "antiprism3", "wheel6"],
+)
+def test_report_refuses_a_seed_of_the_expansion_size(seed, member, error, message):
+    """A seed with as many edges as the member's seed is embedded before
+    it is matched, so a seed that cannot be embedded raises as the
+    embedding does, and one that embeds but does not match raises the
+    provenance error."""
+    with pytest.raises(error) as exc:
+        symmetry_report(cycle_expand(member)[0], expansion_seed=seed)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_report_checks_the_seed_without_expanding_it(monkeypatch):
+    """The seed's darts are mapped onto the member: no expansion is built,
+    no isomorphism searched, and only the member's and the seed's faces
+    are traced."""
+    from crushtacean import automorphism, families, graphs
+
+    calls = []
+    for module, name in ((families, "cycle_expand"), (automorphism, "find_isomorphism"), (graphs, "faces")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    member = replace(cycle_expand(prism(6))[0], rotation=None)
+    seed = prism(6)
+    calls.clear()
+    assert symmetry_report(member, expansion_seed=seed).signature_screen == "not_signature"
+    assert calls == ["faces", "faces"]
 
 
 def test_report_degenerate_for_invalid_input():

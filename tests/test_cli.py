@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from crushtacean import cycle_expand, parse_graph, planar_embed, serialize_graph
+from crushtacean import cycle_expand, painted_graph, parse_graph, planar_embed, serialize_graph
 from crushtacean.cli import main
-from crushtacean.families import gamma_borromean, gamma_pretzel, prism, wheel
+from crushtacean.families import antiprism, cube, gamma_borromean, gamma_pretzel, prism, wheel
 from helpers import hung_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,8 +37,6 @@ def test_validate_ok(tmp_path, capsys):
 
 
 def test_validate_invalid_exit_code(tmp_path, capsys):
-    from crushtacean import painted_graph
-
     g = painted_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [(0, 1)])
     path = write_graph(tmp_path, "bad_matching.json", g)
     code, out, _ = run(capsys, "validate", path)
@@ -116,8 +114,6 @@ def test_classify_single_file(tmp_path, capsys):
 
 
 def test_classify_invalid_exits_one(tmp_path, capsys):
-    from crushtacean import painted_graph
-
     g = painted_graph(6, [(i, j + 3) for i in range(3) for j in range(3)],
                       [(0, 3), (1, 4), (2, 5)])
     path = write_graph(tmp_path, "k33.json", g)
@@ -328,8 +324,6 @@ def test_classify_refuses_a_seed_of_the_wrong_size_before_expanding_it(tmp_path)
     """A seed's expansion has 2E vertices and 3E edges; the sizes are
     compared first, so a seed far larger than the graph is never expanded
     (this 200,000-vertex prism's expansion would not fit in 1 GiB)."""
-    from crushtacean import painted_graph
-
     n = 100000
     rim = [(i, (i + 1) % n) for i in range(n)]
     edges = rim + [(n + u, n + v) for u, v in rim] + [(i, n + i) for i in range(n)]
@@ -338,6 +332,29 @@ def test_classify_refuses_a_seed_of_the_wrong_size_before_expanding_it(tmp_path)
     proc = run_capped(tmp_path, ["classify", "b.json", "--seed", "seed.json"])
     want = "error: expansion_seed does not expand to the given graph\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+
+
+@pytest.mark.parametrize(
+    "seed,member,message",
+    [
+        (painted_graph(6, [(i, j + 3) for i in range(3) for j in range(3)]), prism(3), "graph is not planar"),
+        (
+            painted_graph(6, [(0, 1)] + [(h, v) for h in (0, 1) for v in range(2, 6)]),  # K2,4, hubs joined
+            prism(3),
+            "graph is not 3-connected: two faces meet beyond one vertex or edge",
+        ),
+        (antiprism(3), cube(), "expansion_seed does not expand to the given graph"),
+        (wheel(6), cube(), "expansion_seed does not expand to the given graph"),
+    ],
+    ids=["nonplanar", "not_3_connected", "antiprism3", "wheel6"],
+)
+def test_classify_refuses_a_seed_of_the_expansion_size(tmp_path, capsys, seed, member, message):
+    """A seed with as many edges as the member's seed exits 2 with one
+    error line, whether it cannot be embedded or does not match."""
+    seed_path = write_graph(tmp_path, "seed.json", seed)
+    path = write_graph(tmp_path, "member.json", *cycle_expand(member))
+    code, out, err = run(capsys, "classify", path, "--seed", seed_path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_expand_edgeless_graph_with_a_huge_count_exits_two(tmp_path):

@@ -64,6 +64,15 @@ def test_gamma_ochain_shape(n):
     assert identify(grp) == GroupId.klein()
 
 
+@pytest.mark.parametrize("make,low", [(gamma_pretzel, 3), (gamma_ochain, 2)])
+def test_chains_carry_the_planarity_tests_rotation(make, low):
+    """Each chain is built with the rotation the planarity test gives it,
+    so ``gen`` prints the rows it printed when it embedded the chain."""
+    for n in [*range(low, 40), 100, 1001]:
+        g = make(n)
+        assert g.rotation == planar_embed(g)
+
+
 def test_family_parameter_bounds():
     with pytest.raises(ValueError):
         gamma_pretzel(2)

@@ -43,6 +43,7 @@ from crushtacean.families import (
     antiprism,
     cube,
     dodecahedron,
+    expands_to,
     gamma_ochain,
     gamma_pretzel,
     prism,
@@ -55,6 +56,7 @@ from helpers import (
     catalog_identify,
     check_irredundant_generators,
     corner_knot_circles,
+    expands_by_isomorphism,
     flip_block,
     full_signature,
     hung_blocks,
@@ -310,6 +312,50 @@ def test_report_ignores_the_rotation_and_the_labelling(rng, size, expansion):
         if seed is not None:
             seed_doc = shuffled_document(seed, seed_rots[rng.randrange(3)], rng)
         assert report_text(shuffled_document(g, r, rng), seed_doc, witness=False) == want
+
+
+def seeds_with_edges(rng, edges: int) -> list:
+    """The random cubic seed and triangulation, prism, wheel and antiprism
+    with the given number of edges, those that exist."""
+    seeds = []
+    if edges % 3 == 0:
+        seeds += [random_cubic_planar(rng, edges // 3 - 2), random_triangulation(rng, edges // 3 - 2)]
+        seeds += [prism(edges // 3)] if edges >= 9 else []
+    if edges % 2 == 0:
+        seeds.append(wheel(edges // 2))
+    if edges % 4 == 0 and edges >= 12:
+        seeds.append(antiprism(edges // 4))
+    return seeds
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rng=RNG, edges=st.sampled_from([6, 9, 12, 15, 16, 18, 20, 24, 30]), mirrored=st.booleans())
+def test_expansion_check_matches_the_isomorphism_oracle(rng, edges, mirrored):
+    """``expands_to`` answers as the seed's re-expansion and a painted
+    isomorphism search do, on seeds with as many edges, cubic or not, each
+    seed as built or carrying its mirrored rotation.  Each seed meets its
+    own member relabelled, carrying the expansion's rotation, with that
+    rotation mirrored, and without one, and one of these forms of every
+    other seed's member."""
+    seeds = seeds_with_edges(rng, edges)
+    if mirrored:
+        seeds = [replace(s, rotation=mirror(planar_embed(s))) for s in seeds]
+    forms = []
+    for s in seeds:
+        m, rot = cycle_expand(s)
+        forms.append(
+            [
+                relabel(m, shuffled(rng, m.vertex_count)),
+                m,
+                replace(m, rotation=mirror(rot)),
+                replace(m, rotation=None),
+            ]
+        )
+    for i, s in enumerate(seeds):
+        for j, members in enumerate(forms):
+            for m in members if i == j else [rng.choice(members)]:
+                want = expands_by_isomorphism(s, m)
+                assert expands_to(s, m) == want and (want or i != j)
 
 
 @PROPERTY
