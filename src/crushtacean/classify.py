@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .automorphism import automorphisms, find_isomorphism
 from .errors import NonplanarError, PreconditionError
 from .graphs import Edge, PaintedGraph, validate_basic
-from .groups import GroupId, identify
+from .groups import GroupId, PermGroup, identify
 
 # fixed rule identifiers used in report JSON (wire format, golden-file stable)
 CIT_MONOMORPHISM = "Thm 1.1"
@@ -376,6 +376,17 @@ def _family_sym_group(n: int) -> GroupId:
     return GroupId.dihedral(4 * n)
 
 
+def _painted_group(g: PaintedGraph, aut: PermGroup) -> PermGroup:
+    """Aut_p(g), given aut = Aut(g): aut itself when each of its generators
+    maps the painted edges onto painted edges (a subgroup that holds every
+    generator is the whole group), else the painted search's group."""
+    painted = g.painted_pairs()
+    keep = {frozenset(p) for p in painted}
+    if all(frozenset((m[u], m[v])) in keep for m in aut.moves for u, v in painted):
+        return aut
+    return automorphisms(g, respect_painting=True)
+
+
 def symmetry_report(
     g: PaintedGraph,
     expansion_seed: PaintedGraph | None = None,
@@ -387,7 +398,9 @@ def symmetry_report(
     complement determination; without provenance the complement is Unknown
     outside the exceptional families.  The seed's darts are mapped onto g's
     vertices (``families.expands_to``), no expansion built; a seed that
-    does not match raises PreconditionError.
+    does not match raises PreconditionError.  The painted group is searched
+    only when a generator of the unpainted group moves the painting;
+    otherwise the two groups are one, expanded once for its signature.
     """
     check = validate_crushtacean(g)
     if not check.valid:
@@ -400,7 +413,7 @@ def symmetry_report(
         )
 
     aut = automorphisms(g, respect_painting=False)
-    aut_p = automorphisms(g, respect_painting=True)
+    aut_p = _painted_group(g, aut)
     gid = identify(aut_p)
     bp = classify_bprime(g)
     refl = detect_reflection_multiplicity(g)

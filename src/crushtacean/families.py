@@ -147,7 +147,7 @@ def wheel(n: int) -> PaintedGraph:
 
 
 def prism(n: int) -> PaintedGraph:
-    return painted_graph(2 * n, gamma_pretzel(n).edges) if n >= 3 else _reject(n)
+    return replace(gamma_pretzel(n), painted=()) if n >= 3 else _reject(n)
 
 
 def _reject(n: int) -> PaintedGraph:

@@ -211,6 +211,16 @@ def chorded_cube(k: int) -> PaintedGraph:
     return painted_graph(n, edges)
 
 
+def count_planarity_tests(monkeypatch) -> list:
+    """The calls of ``graphs.planar_embed`` from here on, as a growing list."""
+    from crushtacean import graphs
+
+    calls = []
+    real = graphs.planar_embed
+    monkeypatch.setattr(graphs, "planar_embed", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
 def mirror(rot: tuple) -> tuple:
     """The mirror image of a rotation: every row reversed."""
     return tuple(tuple(reversed(row)) for row in rot)

@@ -35,7 +35,14 @@ from crushtacean.families import (
     prism,
     wheel,
 )
-from helpers import brute_cuts, dual_nerve, mirror, random_crushtacean, random_cubic_planar
+from helpers import (
+    brute_cuts,
+    count_planarity_tests,
+    dual_nerve,
+    mirror,
+    random_crushtacean,
+    random_cubic_planar,
+)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -353,15 +360,6 @@ def test_reflection_finds_relabelled_chains_in_their_mirror_image(rng, n):
 # ---------------------------------------------------------------------------
 
 
-def count_planarity_tests(monkeypatch):
-    from crushtacean import graphs
-
-    calls = []
-    real = graphs.planar_embed
-    monkeypatch.setattr(graphs, "planar_embed", lambda *a, **k: calls.append(a) or real(*a, **k))
-    return calls
-
-
 def test_report_embeds_only_graphs_without_a_rotation(monkeypatch):
     seed = prism(6)
     member, rot = cycle_expand(seed)
@@ -551,10 +549,9 @@ def test_report_json_shape():
     assert doc["sym_plus_link"]["citation"] == "Cor 1.2"
 
 
-def test_report_expands_only_the_painted_group(monkeypatch):
-    """The report reads the unpainted group's order alone: no vertex image
-    of its elements is built, while the painted group is expanded once,
-    for its signature."""
+def record_searches(monkeypatch) -> tuple[list, list]:
+    """The report's automorphism searches, as (respect_painting, group), and
+    the groups whose vertex images it builds, in call order."""
     made, expanded = [], []
     search, images = classify.automorphisms, PermGroup.images
 
@@ -568,10 +565,30 @@ def test_report_expands_only_the_painted_group(monkeypatch):
 
     monkeypatch.setattr(classify, "automorphisms", recording_search)
     monkeypatch.setattr(PermGroup, "images", recording_images)
+    return made, expanded
+
+
+def test_report_searches_once_when_the_generators_keep_the_painting(monkeypatch):
+    """On an expansion member every generator of the unpainted group keeps
+    the painting, so the painted group is that group: one unpainted search,
+    expanded once, for its signature."""
+    made, expanded = record_searches(monkeypatch)
     seed = dodecahedron()
     rep = symmetry_report(cycle_expand(seed)[0], expansion_seed=seed)
     assert rep.aut_order == rep.aut_p_order == 120
-    (unpainted,) = [grp for painted, grp in made if not painted]
-    (painted,) = [grp for painted, grp in made if painted]
-    assert not any(grp is unpainted for grp in expanded)
-    assert sum(grp is painted for grp in expanded) == 1
+    ((painted, grp),) = made
+    assert not painted
+    assert [x is grp for x in expanded] == [True]
+
+
+def test_report_expands_only_the_painted_group(monkeypatch):
+    """When a generator of the unpainted group moves the painting, the
+    painted group is searched as well, and only it is expanded, once."""
+    made, expanded = record_searches(monkeypatch)
+    for g, orders in ((gamma_pretzel(4), (48, 16)), (gamma_borromean(), (24, 8))):
+        made.clear()
+        expanded.clear()
+        rep = symmetry_report(g)
+        assert (rep.aut_order, rep.aut_p_order) == orders
+        assert [painted for painted, _grp in made] == [False, True]
+        assert [x is made[1][1] for x in expanded] == [True]

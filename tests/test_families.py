@@ -31,7 +31,7 @@ from crushtacean.families import (
     tetrahedron,
     wheel,
 )
-from helpers import random_cubic_planar
+from helpers import count_planarity_tests, random_cubic_planar
 
 
 def test_gamma_borromean_shape():
@@ -104,6 +104,18 @@ def test_require_expansions_returns_on_an_edgeless_graph():
     keep the count check looping: nothing grows, so it returns at once and
     cycle_expand gives the verdict."""
     require_expansions(PaintedGraph(1, (), ()), 10**12)
+
+
+def test_prism_carries_the_planarity_test_rotation(monkeypatch):
+    """prism(n) keeps the pretzel chain's rotation, whose rows are the ones
+    the left-right planarity test gives the unpainted prism."""
+    calls = count_planarity_tests(monkeypatch)
+    for n in range(3, 41):
+        g = prism(n)
+        text = serialize_graph(g, g.embedding.rotation)
+        assert calls == [] and g.painted == ()
+        bare = painted_graph(2 * n, g.edges)
+        assert text == serialize_graph(bare, planar_embed(bare))
 
 
 def test_seed_constructors():

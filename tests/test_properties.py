@@ -39,11 +39,13 @@ from crushtacean import (
     three_edge_cuts,
     validate_crushtacean,
 )
+from crushtacean.classify import _painted_group
 from crushtacean.families import (
     antiprism,
     cube,
     dodecahedron,
     expands_to,
+    gamma_borromean,
     gamma_ochain,
     gamma_pretzel,
     prism,
@@ -424,6 +426,63 @@ def test_expansion_copies_the_seed_group(rng, size):
     full, painted = automorphisms(seed), automorphisms(ex, True)
     assert painted.order == full.order
     assert identify(painted) == identify(full)
+
+
+def painted_group_variants(rng, g) -> list:
+    """g as built, relabelled, and carrying its rotation's mirror image."""
+    return [
+        g,
+        relabel(g, shuffled(rng, g.vertex_count)),
+        replace(g, rotation=mirror(g.embedding.rotation)),
+    ]
+
+
+def check_painted_group(g) -> bool:
+    """The report's painted group equals the painted search's, elements,
+    signs and type; it is the unpainted group exactly when the two orders
+    agree.  True when it is."""
+    aut = automorphisms(g)
+    grp, want = _painted_group(g, aut), automorphisms(g, respect_painting=True)
+    assert grp == want
+    assert identify(grp) == identify(want)
+    assert (grp is aut) == (aut.order == want.order)
+    return grp is aut
+
+
+@PROPERTY
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["crushtacean", "cubic", "prism", "wheel", "antiprism"]),
+    n=st.integers(3, 8),
+    depth=st.integers(1, 2),
+)
+def test_painted_group_is_the_painted_search(rng, kind, n, depth):
+    """Checking the unpainted generators on the painted edges gives the
+    painted search's group, on random crushtaceans and on depth-1 and
+    depth-2 expansions of random cubic seeds, prisms, wheels and antiprisms."""
+    if kind == "crushtacean":
+        g = random_crushtacean(rng, 2 * n)
+    else:
+        g = random_cubic_planar(rng, n) if kind == "cubic" else NAMED[kind](n)
+        for _ in range(depth):
+            g = cycle_expand(g)[0]
+    for h in painted_group_variants(rng, g):
+        check_painted_group(h)
+
+
+def test_painted_group_takes_both_branches_on_the_chains():
+    """Pretzel chains 3-12, o-chains 2-10 and the Borromean graph, as built,
+    relabelled and mirrored: the unpainted group is kept on most, and the
+    painted search runs on pretzel(4), o-chain(2) and the Borromean graph,
+    whose painted groups are smaller."""
+    rng = random.Random(0)
+    chains = {f"pretzel{n}": gamma_pretzel(n) for n in range(3, 13)}
+    chains |= {f"ochain{n}": gamma_ochain(n) for n in range(2, 11)}
+    chains["borromean"] = gamma_borromean()
+    searched = {"pretzel4", "ochain2", "borromean"}
+    for name, g in chains.items():
+        kept = [check_painted_group(h) for h in painted_group_variants(rng, g)]
+        assert kept == [name not in searched] * 3
 
 
 @PROPERTY
