@@ -13,10 +13,9 @@ symmetry group of the encoded link.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .automorphism import automorphisms, find_isomorphism
+from .automorphism import automorphisms
 from .errors import NonplanarError, PreconditionError
 from .graphs import Edge, PaintedGraph, validate_basic
 from .groups import GroupId, PermGroup, identify
@@ -178,35 +177,32 @@ class EdgeCut:
 
 
 def three_edge_cuts(g: PaintedGraph) -> tuple[EdgeCut, ...]:
-    """All non-trivial 3-edge cuts with their painted counts.
+    """All non-trivial 3-edge cuts with their painted counts, ordered by
+    their sorted edge triples.
 
-    Requires cubic 3-connected planar input (then every disconnecting
-    triple is a minimal cut, and the minimal cuts are the triangles of the
-    dual: three faces that pairwise share an edge; the facial triangles are
-    the vertex stars); non-planar input raises NonplanarError.
+    Requires cubic 3-connected planar input (non-planar input raises
+    NonplanarError): the minimal cuts are then the dual's triangles, three
+    faces that pairwise share an edge, and the non-trivial ones its
+    non-facial triangles.  Face a meets face b along the edge of the dart
+    d of a whose reverse lies in b; the two vertex stars through that edge
+    add the faces of ``prv[d]`` and ``prv[rev[d]]``, so they are dropped.
     """
     if any(g.degree(v) != 3 for v in range(g.vertex_count)):
         raise PreconditionError("three_edge_cuts requires a cubic graph")
     fs = g.embedding.faces
-    shared: list[dict[int, int]] = [{} for _ in fs.faces]  # face -> {neighbour: shared edge}
-    for d, e in enumerate(fs.edge):
-        shared[fs.face[d]][fs.face[fs.rev[d]]] = e
-    triples = {
-        tuple(sorted((ab, row[c], shared[b][c])))
+    face, rev, prv, edge = fs.face, fs.rev, fs.prv, fs.edge
+    shared: list[dict[int, int]] = [{} for _ in fs.faces]  # face -> {neighbour: dart into it}
+    for d, f in enumerate(face):
+        shared[f][face[rev[d]]] = d
+    triples = sorted(
+        tuple(sorted((edge[d], edge[row[c]], edge[shared[b][c]])))
         for a, row in enumerate(shared)
-        for b, ab in row.items()
+        for b, d in row.items()
         if b > a
-        for c in row.keys() & shared[b].keys()
+        for c in (row.keys() & shared[b].keys()) - {face[prv[d]], face[prv[rev[d]]]}
         if c > b
-    }
-    cuts = []
-    for triple in sorted(triples):
-        ends = [set(g.edges[e]) for e in triple]
-        if ends[0] & ends[1] & ends[2]:
-            continue  # vertex star: trivial cut
-        painted = sum(1 for e in triple if g.is_painted(e))
-        cuts.append(EdgeCut(triple, painted))
-    return tuple(cuts)
+    )
+    return tuple(EdgeCut(t, sum(map(g.is_painted, t))) for t in triples)
 
 
 @dataclass(frozen=True)
@@ -272,28 +268,41 @@ class ReflectionMultiplicity:
 
 
 def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
-    """Match g against the exceptional families with several reflection
-    surfaces; everything else has exactly one.
+    """Read the families with several reflection surfaces off the number of
+    painted edges on each face; every other crushtacean has exactly one.
 
-    Face sizes are an isomorphism invariant of a graph with one embedding,
-    so a template, carrying its rotation, is built only when g has its face
-    sizes: n squares and two n-gons for the pretzel chain, two triangles,
-    m - 1 squares and two (m + 2)-gons for the o-chain of m links.
+    pretzel(n): exactly two faces carry no painted edge, and together they
+    hold all 2n vertices.  o-chain(m): some painted edge is the only one on
+    both faces beside it, and those faces hold 2m + 2 vertices.
+
+    The rules are exact.  g is 3-connected, so two faces meet in nothing,
+    one vertex or one edge.  The one face at a vertex without a painted
+    edge lies between its two unpainted edges, so two unpainted faces are
+    disjoint; holding all vertices, they leave every other edge painted,
+    in the annulus between them.  The o-chain's two faces share only their
+    painted edge, so sizes adding to V + 2 means they hold every vertex,
+    and every other painted edge lies off both.  A painted chord with both
+    ends on one face would cut off vertices with no partner (the innermost
+    one would have adjacent ends, a parallel edge), so every chord joins
+    the two faces in order: the chain with its painting.
     """
-    from .families import _ochain, _pretzel  # g's size: no MAX_VERTICES bound
-
     _require_valid(g)
-    if g.vertex_count == 4:
+    v = g.vertex_count
+    if v == 4:
         return ReflectionMultiplicity("borromean", None, 3)
-    if g.vertex_count % 2 == 0 and g.vertex_count >= 6:
-        n = g.vertex_count // 2
-        sizes = Counter(g.embedding.faces.face_sizes())
-        if sizes == Counter({4: n}) + Counter({n: 2}):
-            if find_isomorphism(g, _pretzel(n), True) is not None:
-                return ReflectionMultiplicity("pretzel", n, 2)
-        if sizes == Counter({3: 2, 4: n - 2}) + Counter({n + 1: 2}):  # m = n - 1 links
-            if find_isomorphism(g, _ochain(n - 1), True) is not None:
-                return ReflectionMultiplicity("o_chain", n - 1, 2)
+    fs = g.embedding.faces
+    face, size = fs.face, fs.face_sizes()
+    painted = [d for d, e in enumerate(fs.edge) if e in g.painted_set]  # the painted darts
+    count = [0] * len(size)  # painted edges on each face
+    for d in painted:
+        count[face[d]] += 1
+    bare = [f for f, k in enumerate(count) if k == 0]
+    if len(bare) == 2 and size[bare[0]] + size[bare[1]] == v:
+        return ReflectionMultiplicity("pretzel", v // 2, 2)
+    for d in painted:
+        a, b = face[d], face[fs.rev[d]]
+        if count[a] == count[b] == 1 and size[a] + size[b] == v + 2:
+            return ReflectionMultiplicity("o_chain", v // 2 - 1, 2)
     return ReflectionMultiplicity("unique", None, 1)
 
 

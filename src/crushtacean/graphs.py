@@ -691,10 +691,10 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
         remap = {i: g.edge_index[e if e[0] < e[1] else (e[1], e[0])] for i, e in enumerate(raw_edges)}
         try:
             rot = tuple(_canon_row([remap[i] for i in row]) for row in rows)
-            check_rotation(g, rot)
+            g = replace(g, rotation=rot)
+            fs = g._carried_faces  # checks the rotation, once
         except (KeyError, InvalidRotationError) as exc:
             raise GraphFormatError(f"rotation does not match graph: {exc}") from exc
-        g = replace(g, rotation=rot)
-        if n - g.edge_count + len(g._carried_faces) != 2 * _component_count(g):
+        if n - g.edge_count + len(fs) != 2 * _component_count(g):
             raise GraphFormatError("rotation is not a sphere embedding (V - E + F != 2 per component)")
     return g, rot

@@ -18,6 +18,11 @@ or index dict per edge-end instead of the dart table of ``faces``, and
 corners, the reference for ``knot_circles``.  ``expands_by_isomorphism``
 re-expands a seed and matches the expansion against a graph with the
 painted isomorphism search, the reference for ``families.expands_to``.
+``template_reflection`` matches g against chain templates of its face
+sizes with ``find_isomorphism``, the reference for the painting count of
+``detect_reflection_multiplicity``, and ``enumerated_cuts`` forms every
+triangle of the dual and drops the vertex stars afterwards, the reference
+for ``three_edge_cuts``.
 """
 
 import json
@@ -34,17 +39,21 @@ import numpy as np
 
 from crushtacean import (
     CapExceededError,
+    EdgeCut,
     GroupId,
     NonplanarError,
     PaintedGraph,
     PermGroup,
     Permutation,
     PreconditionError,
+    ReflectionMultiplicity,
     close,
     cube,
     cycle_expand,
     dual,
     find_isomorphism,
+    gamma_ochain,
+    gamma_pretzel,
     painted_graph,
     planar_embed,
 )
@@ -286,6 +295,73 @@ def brute_cuts(g: PaintedGraph) -> list[tuple[int, int, int]]:
         if not nx.is_connected(h):
             out.append(trip)
     return sorted(out)
+
+
+def enumerated_cuts(g: PaintedGraph) -> tuple[EdgeCut, ...]:
+    """``three_edge_cuts`` as every triangle of the dual, from an edge-keyed
+    face-adjacency table, with the vertex stars filtered out afterwards."""
+    fs = g.embedding.faces
+    shared: list[dict[int, int]] = [{} for _ in fs.faces]  # face -> {neighbour: shared edge}
+    for d, e in enumerate(fs.edge):
+        shared[fs.face[d]][fs.face[fs.rev[d]]] = e
+    triples = {
+        tuple(sorted((ab, row[c], shared[b][c])))
+        for a, row in enumerate(shared)
+        for b, ab in row.items()
+        if b > a
+        for c in row.keys() & shared[b].keys()
+        if c > b
+    }
+    cuts = []
+    for triple in sorted(triples):
+        ends = [set(g.edges[e]) for e in triple]
+        if not ends[0] & ends[1] & ends[2]:  # a vertex star is a trivial cut
+            cuts.append(EdgeCut(triple, sum(1 for e in triple if g.is_painted(e))))
+    return tuple(cuts)
+
+
+def template_reflection(g: PaintedGraph) -> ReflectionMultiplicity:
+    """``detect_reflection_multiplicity`` as a template match: a chain's
+    face sizes (n squares and two n-gons for pretzel(n); two triangles,
+    n - 2 squares and two (n + 1)-gons for the o-chain of n - 1 links, on
+    2n vertices), then a painted isomorphism search against the chain."""
+    _require_valid(g)
+    v = g.vertex_count
+    if v == 4:
+        return ReflectionMultiplicity("borromean", None, 3)
+    n, sizes = v // 2, Counter(g.embedding.faces.face_sizes())
+    if v % 2 == 0 and v >= 6:
+        if sizes == Counter({4: n}) + Counter({n: 2}):
+            if find_isomorphism(g, gamma_pretzel(n), True) is not None:
+                return ReflectionMultiplicity("pretzel", n, 2)
+        if sizes == Counter({3: 2, 4: n - 2}) + Counter({n + 1: 2}):
+            if find_isomorphism(g, gamma_ochain(n - 1), True) is not None:
+                return ReflectionMultiplicity("o_chain", n - 1, 2)
+    return ReflectionMultiplicity("unique", None, 1)
+
+
+def perfect_matchings(g: PaintedGraph):
+    """Yield every perfect matching of g as ascending edge indices: the
+    smallest unmatched vertex is matched to each free neighbour in turn."""
+    free, chosen = [True] * g.vertex_count, []
+
+    def extend():
+        if True not in free:
+            yield tuple(sorted(chosen))
+            return
+        v = free.index(True)
+        free[v] = False
+        for e in g.incident[v]:
+            w = g.other_end(e, v)
+            if free[w]:
+                free[w] = False
+                chosen.append(e)
+                yield from extend()
+                chosen.pop()
+                free[w] = True
+        free[v] = True
+
+    yield from extend()
 
 
 def perm_compose(p: tuple, q: tuple) -> tuple:

@@ -29,16 +29,19 @@ from crushtacean.families import (
     antiprism,
     cube,
     dodecahedron,
+    family_from_target,
     gamma_borromean,
     gamma_ochain,
     gamma_pretzel,
     prism,
     wheel,
 )
+from crushtacean.groups import GroupId
 from helpers import (
     brute_cuts,
     count_planarity_tests,
     dual_nerve,
+    enumerated_cuts,
     mirror,
     random_crushtacean,
     random_cubic_planar,
@@ -215,8 +218,8 @@ def test_expansion_knot_circles_are_seed_faces(rng):
 
 
 def test_cuts_against_brute_force(rng):
-    graphs = [gamma_borromean(), gamma_pretzel(3), gamma_pretzel(5),
-              gamma_ochain(2), gamma_ochain(4), odd_chain()]
+    graphs = [gamma_borromean(), gamma_pretzel(3), gamma_pretzel(5), odd_chain()]
+    graphs += [gamma_ochain(n) for n in range(2, 9)]
     for _ in range(5):
         graphs.append(random_crushtacean(rng, rng.randrange(0, 6)))
     for g in graphs:
@@ -226,6 +229,26 @@ def test_cuts_against_brute_force(rng):
         for h in (g, mirrored, relabel(g, perm)):
             got = sorted(c.edges for c in three_edge_cuts(h))
             assert got == brute_cuts(h)
+
+
+def test_cuts_match_the_enumerated_triangles(rng):
+    """Dropping the two vertex stars of each dual edge before forming its
+    triangles gives the cuts, in the same order, that forming every
+    triangle and filtering out the stars gives: on the family members of
+    24 to 216 vertices, pretzel chains and o-chains up to 400 vertices and
+    random crushtaceans, each as built and relabelled."""
+    graphs = [
+        m.graph
+        for target, count in (("D5", 2), ("D6xZ2", 2), ("S4xZ2", 3), ("A5xZ2", 2))
+        for m in family_from_target(GroupId.from_string(target), count, verify=False)[1]
+    ]
+    graphs += [gamma_pretzel(n) for n in (3, 4, 7, 50, 200)]
+    graphs += [gamma_ochain(n) for n in (2, 3, 8, 49, 199)]
+    graphs += [random_crushtacean(rng, rng.randrange(0, 60)) for _ in range(20)]
+    for g in graphs:
+        h = relabel(g, rng.sample(range(g.vertex_count), g.vertex_count))
+        for x in (g, h):
+            assert three_edge_cuts(x) == enumerated_cuts(x)
 
 
 def test_cut_painted_parity(rng):
@@ -328,9 +351,9 @@ def test_reflection_multiplicity_branches():
     assert detect_reflection_multiplicity(ex).tag == "unique"
 
 
-def test_reflection_templates_ignore_the_construction_bound(monkeypatch):
-    """A template has the size of g, which is already built: the bound on
-    the graphs ``gen`` and ``family`` build does not apply to it."""
+def test_chains_are_read_at_any_size(monkeypatch):
+    """The chains are read off g's own faces, so the bound on the graphs
+    ``gen`` and ``family`` build does not limit them."""
     from crushtacean import families
 
     chains = gamma_ochain(12), gamma_pretzel(12)  # 26 and 24 vertices
@@ -344,8 +367,8 @@ def test_reflection_templates_ignore_the_construction_bound(monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_reflection_finds_relabelled_chains_in_their_mirror_image(rng, n):
-    """The templates are built only on a face-size match; a relabelled
-    chain carrying its mirrored rotation still matches."""
+    """A relabelled chain carrying its mirrored rotation is still read as
+    its chain."""
     for g, tag, k in ((gamma_pretzel(n), "pretzel", n), (gamma_ochain(n - 1), "o_chain", n - 1)):
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
@@ -374,11 +397,24 @@ def test_report_embeds_only_graphs_without_a_rotation(monkeypatch):
         assert len(calls) == want
 
 
-def test_report_builds_the_chain_templates_with_their_rotations(monkeypatch):
-    """A pretzel chain or an o-chain that carries its rotation is matched
-    against a template that carries one too: no planarity test runs."""
+def test_report_reads_the_chains_without_templates(monkeypatch):
+    """A pretzel chain or an o-chain that carries its rotation is read off
+    its own faces: the report runs no planarity test, no isomorphism
+    search, and builds no chain."""
+    from crushtacean import automorphism, families
+    from crushtacean import classify as classify_module
+
     chains = [parse_graph(serialize_graph(g, planar_embed(g)))[0] for g in (gamma_pretzel(9), gamma_ochain(8))]
     calls = count_planarity_tests(monkeypatch)
+    for module, name in (
+        (automorphism, "find_isomorphism"),
+        (classify_module, "find_isomorphism"),  # in case it is imported there again
+        (families, "gamma_pretzel"),
+        (families, "gamma_ochain"),
+    ):
+        real = getattr(automorphism if name == "find_isomorphism" else module, name)
+        spy = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)  # noqa: E731
+        monkeypatch.setattr(module, name, spy, raising=False)
     for g, tag in zip(chains, ("pretzel", "o_chain")):
         assert symmetry_report(g).reflection.tag == tag
     assert calls == []

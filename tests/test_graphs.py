@@ -275,6 +275,32 @@ def test_a_parsed_rotation_is_traced_once(rng, monkeypatch):
     assert traced == [rot, bad_rot]
 
 
+def test_a_parsed_rotation_is_checked_once(rng, monkeypatch):
+    """A file's rotation is checked against the graph once, as its faces
+    are traced, and a rotation that does not match keeps its message."""
+    doc = json.loads(serialize_graph(k4([(0, 1)]), planar_embed(k4())))
+    short_row, few_rows = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+    short_row["rotation"][1].pop()
+    few_rows["rotation"].pop()
+    prefix = "rotation does not match graph: "
+    for bad, why in (
+        (short_row, "rotation at vertex 1 does not list its incident edges"),
+        (few_rows, "rotation has wrong number of vertices"),
+    ):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(json.dumps(bad))
+        assert str(info.value) == prefix + why
+    checked = []
+    real = graphs.check_rotation
+    monkeypatch.setattr(graphs, "check_rotation", lambda g, rot: checked.append(rot) or real(g, rot))
+    for g in (k4([(0, 1)]), random_crushtacean(rng, 6)):
+        text = serialize_graph(g, planar_embed(g))
+        checked.clear()
+        h, rot = parse_graph(text)
+        assert h.embedding.rotation == rot
+        assert checked == [rot]
+
+
 def test_dual_carries_a_sphere_rotation(rng):
     for _ in range(10):
         g = random_crushtacean(rng, rng.randrange(0, 10))

@@ -10,7 +10,9 @@ reproducible.
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import networkx as nx
 import pytest
@@ -39,7 +41,7 @@ from crushtacean import (
     three_edge_cuts,
     validate_crushtacean,
 )
-from crushtacean.classify import _painted_group
+from crushtacean.classify import _painted_group, detect_reflection_multiplicity
 from crushtacean.families import (
     antiprism,
     cube,
@@ -66,6 +68,7 @@ from helpers import (
     mirror,
     nx_graph,
     nx_planar_embed,
+    perfect_matchings,
     perm_compose,
     perm_inverse,
     perm_order,
@@ -76,6 +79,7 @@ from helpers import (
     scan_automorphisms,
     shuffled_document,
     splice,
+    template_reflection,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -483,6 +487,40 @@ def test_painted_group_takes_both_branches_on_the_chains():
     for name, g in chains.items():
         kept = [check_painted_group(h) for h in painted_group_variants(rng, g)]
         assert kept == [name not in searched] * 3
+
+
+def reflection_corpus(rng) -> list:
+    """Every perfect matching of the prisms 3-8 (the bare pretzel chains,
+    the cube among them), of the bare o-chains 2-8 and of random cubic
+    polyhedra up to 16 vertices, and the first 30 of the cubic antiprism
+    truncations 3-7 (antiprisms are 4-regular; ``cycle_expand`` makes each
+    vertex a 4-cycle), each carrying its rotation."""
+    bare = [prism(n) for n in range(3, 9)] + [cube()]
+    bare += [replace(gamma_ochain(n), painted=()) for n in range(2, 9)]
+    bare += [random_cubic_planar(rng, k) for k in range(7) for _ in range(3)]
+    capped = [replace(cycle_expand(antiprism(n))[0], painted=()) for n in range(3, 8)]
+    corpus = []
+    for g, cap in [(g, None) for g in bare] + [(g, 30) for g in capped]:
+        rot = g.embedding.rotation
+        corpus += [replace(g, painted=m, rotation=rot) for m in islice(perfect_matchings(g), cap)]
+    return corpus
+
+
+def test_chains_are_read_off_the_painting_as_the_templates_match():
+    """The painted-edge count of each face finds the pretzel chains and the
+    o-chains the face-size gate and template isomorphism search find, on
+    every painting of the corpus as built, relabelled, and relabelled with
+    its rotation mirrored; the corpus meets both chains, ``unique``, and
+    the Borromean graph (K4, the smallest random polyhedron)."""
+    rng = random.Random(0)
+    tags = Counter()
+    for g in reflection_corpus(rng):
+        h = relabel(g, shuffled(rng, g.vertex_count))
+        for x in (g, h, replace(h, rotation=mirror(h.embedding.rotation))):
+            want = template_reflection(x)
+            assert detect_reflection_multiplicity(x) == want
+            tags[want.tag] += 1
+    assert set(tags) == {"borromean", "pretzel", "o_chain", "unique"}
 
 
 @PROPERTY
