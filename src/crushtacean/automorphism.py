@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import compress, count
+from operator import itemgetter
 
 from .errors import CapExceededError
 from .graphs import PaintedGraph
@@ -30,30 +32,33 @@ from .groups import DEFAULT_CAP, PermGroup, Permutation, _grow
 
 class _Darts:
     """The painting-dependent arrays of one embedded graph, over the dart
-    table ``fs`` of its faces: each dart's edge class and flag invariants."""
+    table ``fs`` of its faces: each dart's edge class and flag invariants,
+    one int each in radix 2E + 1 (above every degree and face size)."""
 
     def __init__(self, g: PaintedGraph, respect_painting: bool):
         fs = self.fs = g.embedding.faces
-        size = fs.face_sizes()
-        self.deg = [len(row) for row in g.incident]
-        self.cls = [1 if respect_painting and g.is_painted(e) else 0 for e in fs.edge]
-        fsz = [size[f] for f in fs.face]
-        deg_of = [self.deg[v] for v in fs.tail]
-        ends = [(c, deg_of[d], deg_of[r]) for d, (c, r) in enumerate(zip(self.cls, fs.rev))]
+        self.deg = deg = [*map(len, g.incident)]
+        self.cls = [*map((g.painted_set if respect_painting else ()).__contains__, fs.edge)]
+        radix, rev = 2 * g.edge_count + 1, fs.rev
+        deg_of, fsz = [*map(deg.__getitem__, fs.tail)], [*map(fs.size.__getitem__, fs.face)]
+        ends = [(c * radix + deg_of[d]) * radix + deg_of[r] for d, (c, r) in enumerate(zip(self.cls, rev))]
         self.keys = {
-            1: [ends[d] + (fsz[d], fsz[r]) for d, r in enumerate(fs.rev)],
-            -1: [ends[d] + (fsz[r], fsz[d]) for d, r in enumerate(fs.rev)],
+            1: [(ends[d] * radix + fsz[d]) * radix + fsz[r] for d, r in enumerate(rev)],
+            -1: [(ends[d] * radix + fsz[r]) * radix + fsz[d] for d, r in enumerate(rev)],
         }
-        self.shape = (g.vertex_count, g.edge_count, sum(self.cls), tuple(sorted(size)))
+        self.shape = (g.vertex_count, g.edge_count, sum(self.cls), tuple(sorted(fs.size)))
 
     @cached_property
     def base(self) -> int:
-        """The dart whose invariant the fewest flags share."""
-        count = Counter(self.keys[1] + self.keys[-1])
-        return min(range(len(self.cls)), key=lambda d: (count[self.keys[1][d]], d))
+        """The dart whose invariant the fewest flags share, the first of them."""
+        seen = Counter(self.keys[1] + self.keys[-1])
+        shared = [*map(seen.__getitem__, self.keys[1])]
+        return shared.index(min(shared))
 
-    def flags(self, key: tuple) -> list[tuple[int, int]]:
-        return [(d, s) for d in range(len(self.cls)) for s in (1, -1) if self.keys[s][d] == key]
+    def flags(self, key: int) -> list[tuple[int, int]]:
+        """The flags (dart, sign) whose invariant is key, by dart, sign +1 first."""
+        found = [(d, s) for s in (1, -1) for d in compress(count(), map(key.__eq__, self.keys[s]))]
+        return sorted(found, key=itemgetter(0))  # stable: sign +1 stays first
 
 
 def _darts(g: PaintedGraph, respect_painting: bool) -> _Darts:

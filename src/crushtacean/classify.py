@@ -14,6 +14,7 @@ symmetry group of the encoded link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .automorphism import automorphisms
 from .errors import NonplanarError, PreconditionError
@@ -187,22 +188,21 @@ def three_edge_cuts(g: PaintedGraph) -> tuple[EdgeCut, ...]:
     d of a whose reverse lies in b; the two vertex stars through that edge
     add the faces of ``prv[d]`` and ``prv[rev[d]]``, so they are dropped.
     """
-    if any(g.degree(v) != 3 for v in range(g.vertex_count)):
+    if {*map(len, g.incident)} != {3}:
         raise PreconditionError("three_edge_cuts requires a cubic graph")
     fs = g.embedding.faces
     face, rev, prv, edge = fs.face, fs.rev, fs.prv, fs.edge
-    shared: list[dict[int, int]] = [{} for _ in fs.faces]  # face -> {neighbour: dart into it}
-    for d, f in enumerate(face):
-        shared[f][face[rev[d]]] = d
-    triples = sorted(
-        tuple(sorted((edge[d], edge[row[c]], edge[shared[b][c]])))
-        for a, row in enumerate(shared)
-        for b, d in row.items()
-        if b > a
-        for c in (row.keys() & shared[b].keys()) - {face[prv[d]], face[prv[rev[d]]]}
-        if c > b
-    )
-    return tuple(EdgeCut(t, sum(map(g.is_painted, t))) for t in triples)
+    shared = fs.shared  # face -> {neighbour: dart into it}
+    triples = []
+    for a, row in enumerate(shared):
+        for b, d in row.items():
+            if b > a:  # the third face c > b, read from the smaller side
+                other, stars = shared[b], (face[prv[d]], face[prv[rev[d]]])
+                for c in row if len(row) < len(other) else other:
+                    if c > b and c in row and c in other and c not in stars:
+                        triples.append(tuple(sorted((edge[d], edge[row[c]], edge[other[c]]))))
+    triples.sort()
+    return tuple([EdgeCut(t, len(g.painted_set.intersection(t))) for t in triples])
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
         return ReflectionMultiplicity("borromean", None, 3)
     fs = g.embedding.faces
     face, size = fs.face, fs.face_sizes()
-    painted = [d for d, e in enumerate(fs.edge) if e in g.painted_set]  # the painted darts
+    painted = [*compress(range(len(fs.edge)), map(g.painted_set.__contains__, fs.edge))]  # the painted darts
     count = [0] * len(size)  # painted edges on each face
     for d in painted:
         count[face[d]] += 1
@@ -388,10 +388,12 @@ def _family_sym_group(n: int) -> GroupId:
 def _painted_group(g: PaintedGraph, aut: PermGroup) -> PermGroup:
     """Aut_p(g), given aut = Aut(g): aut itself when each of its generators
     maps the painted edges onto painted edges (a subgroup that holds every
-    generator is the whole group), else the painted search's group."""
-    painted = g.painted_pairs()
-    keep = {frozenset(p) for p in painted}
-    if all(frozenset((m[u], m[v])) in keep for m in aut.moves for u, v in painted):
+    generator is the whole group), else the painted search's group.  A map
+    keeps the perfect matching ``mate`` of a valid g when it commutes with it."""
+    mate = [0] * g.vertex_count
+    for u, v in g.painted_pairs():
+        mate[u], mate[v] = v, u
+    if all([*map(mate.__getitem__, m)] == [*map(m.__getitem__, mate)] for m in aut.moves):
         return aut
     return automorphisms(g, respect_painting=True)
 

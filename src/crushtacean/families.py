@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .automorphism import automorphisms
 from .classify import (
@@ -252,21 +253,26 @@ def expands_to(seed: PaintedGraph, g: PaintedGraph) -> bool:
     if (g.vertex_count, g.edge_count) != (2 * edges, 3 * edges):
         return False
     s, t = seed.embedding.faces, g.embedding.faces
-    deg, s_size, t_size = [len(row) for row in seed.incident], s.face_sizes(), t.face_sizes()
-    ends = [(deg[s.tail[d]], deg[s.tail[r]]) for d, r in enumerate(s.rev)]
-    sides = [(2 * s_size[s.face[d]], 2 * s_size[s.face[r]]) for d, r in enumerate(s.rev)]
-    count = Counter([e + f for e, f in zip(ends, sides)] + [e + f[::-1] for e, f in zip(ends, sides)])
-    base = min(range(len(ends)), key=lambda d: (count[ends[d] + sides[d]], d))
-    paint = [d for d, e in enumerate(t.edge) if g.is_painted(e)]  # one per vertex, in vertex order
-    head = [t.tail[r] for r in t.rev]
-    mate = [head[p] for p in paint]
-    cycle = [t_size[t.face[t.prv[p]]] for p in paint]  # the unpainted face at each vertex
+    radix = 2 * g.edge_count + 1  # above every degree and doubled seed face size: one int per key
+    deg, side = [*map(len, seed.incident)], [2 * s.size[f] for f in s.face]
+    ends = [deg[s.tail[d]] * radix + deg[s.tail[r]] for d, r in enumerate(s.rev)]
+    keys = [(ends[d] * radix + side[d]) * radix + side[r] for d, r in enumerate(s.rev)]
+    count = Counter(keys)
+    count.update([(ends[d] * radix + side[r]) * radix + side[d] for d, r in enumerate(s.rev)])
+    rarity = [*map(count.__getitem__, keys)]
+    base = rarity.index(min(rarity))
+    paint = [*compress(range(len(t.edge)), map(g.painted_set.__contains__, t.edge))]  # one per vertex, in order
+    size = [*map(t.size.__getitem__, t.face)]  # the size of each dart's face
+    mate = [t.tail[t.rev[p]] for p in paint]
+    cycle = [size[t.prv[p]] for p in paint]  # the unpainted face at each vertex
+    pair = [c * radix + cycle[m] for c, m in zip(cycle, mate)]
 
     def walk(x: int, after: list[int]) -> bool:
-        img, used, queue = [-1] * len(ends), [False] * len(paint), [base]
+        img, used, queue = [-1] * len(keys), [False] * len(paint), [base]
         img[base], used[x] = x, True
         for d in queue:
-            for c, y in ((s.rev[d], mate[img[d]]), (s.nxt[d], after[img[d]])):
+            x = img[d]
+            for c, y in ((s.rev[d], mate[x]), (s.nxt[d], after[x])):
                 if img[c] < 0 and not used[y]:
                     img[c], used[y] = y, True
                     queue.append(c)
@@ -274,12 +280,11 @@ def expands_to(seed: PaintedGraph, g: PaintedGraph) -> bool:
                     return False
         return True
 
-    key = ends[base] + sides[base]
     for sign, step in ((1, t.nxt), (-1, t.prv)):
-        after = [head[step[p]] for p in paint]
+        after = [t.tail[t.rev[step[p]]] for p in paint]
         for x, p in enumerate(paint):
             a, b = (p, t.rev[p])[::sign]  # the faces beside p, swapped for a mirror map
-            if (cycle[x], cycle[mate[x]], t_size[t.face[a]], t_size[t.face[b]]) == key and walk(x, after):
+            if (pair[x] * radix + size[a]) * radix + size[b] == keys[base] and walk(x, after):
                 return True
     return False
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -63,6 +64,8 @@ class PaintedGraph:
             inc[u].append(i)
             inc[v].append(i)
         return tuple(tuple(row) for row in inc)
+
+    component_count = cached_property(lambda self: _component_count(self))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -125,20 +128,21 @@ def painted_graph(
     """
     if vertex_count < 1:
         raise GraphFormatError("vertex_count must be at least 1")
-    norm: list[Edge] = []
+    keys: list[int] = []  # edge (u, v), u < v, as u * vertex_count + v
     for e in edges:
         u, v = int(e[0]), int(e[1])
         if u == v:
             raise GraphFormatError(f"loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise GraphFormatError(f"edge ({u},{v}) out of range")
-        norm.append((u, v) if u < v else (v, u))
-    if len(set(norm)) != len(norm):
+        keys.append(u * vertex_count + v if u < v else v * vertex_count + u)
+    if len(set(keys)) != len(keys):
         raise GraphFormatError("duplicate edge")
-    if vertex_count > 2 * len(norm):  # checked before anything of size vertex_count is allocated
-        raise GraphFormatError(f"isolated vertex: {vertex_count} vertices, {len(norm)} edges")
-    norm.sort()
-    index = {e: i for i, e in enumerate(norm)}
+    if vertex_count > 2 * len(keys):  # checked before anything of size vertex_count is allocated
+        raise GraphFormatError(f"isolated vertex: {vertex_count} vertices, {len(keys)} edges")
+    keys.sort()
+    norm = [*map(divmod, keys, repeat(vertex_count))]
+    index = dict(zip(norm, range(len(norm))))
     seen = [False] * vertex_count
     for u, v in norm:
         seen[u] = seen[v] = True
@@ -154,7 +158,9 @@ def painted_graph(
         if index[key] in painted_idx:
             raise GraphFormatError(f"painted pair {key} listed twice")
         painted_idx.add(index[key])
-    return PaintedGraph(vertex_count, tuple(norm), tuple(sorted(painted_idx)))
+    g = PaintedGraph(vertex_count, tuple(norm), tuple(sorted(painted_idx)))
+    vars(g)["edge_index"] = index
+    return g
 
 
 def relabel(g: PaintedGraph, perm: Sequence[int]) -> PaintedGraph:
@@ -180,6 +186,8 @@ class StructReport:
 
 
 def _component_count(g: PaintedGraph) -> int:
+    """Depth-first search over ``incident``, once per graph: read ``g.component_count``."""
+    incident, edges = g.incident, g.edges
     seen = [False] * g.vertex_count
     count = 0
     for start in range(g.vertex_count):
@@ -189,7 +197,9 @@ def _component_count(g: PaintedGraph) -> int:
         seen[start] = True
         stack = [start]
         while stack:
-            for w in g.adjacency[stack.pop()]:
+            v = stack.pop()
+            for e in incident[v]:
+                w = edges[e][0] + edges[e][1] - v
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -198,11 +208,11 @@ def _component_count(g: PaintedGraph) -> int:
 
 def validate_basic(g: PaintedGraph) -> StructReport:
     """Report connected/cubic structure.  Never raises."""
-    degs = [g.degree(v) for v in range(g.vertex_count)]
+    degs = [*map(len, g.incident)]
     return StructReport(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
-        connected=_component_count(g) == 1,
+        connected=g.component_count == 1,
         cubic=all(d == 3 for d in degs),
         degree_min=min(degs),
         degree_max=max(degs),
@@ -214,12 +224,11 @@ def validate_basic(g: PaintedGraph) -> StructReport:
 # ---------------------------------------------------------------------------
 
 
-def _canon_row(row: Sequence[int]) -> tuple[int, ...]:
+def _canon_row(row: Iterable[int]) -> tuple[int, ...]:
     """Rotate a cyclic sequence to start at its smallest entry."""
-    if not row:
-        return ()
-    k = row.index(min(row))
-    return tuple(row[k:]) + tuple(row[:k])
+    row = tuple(row)
+    k = row.index(min(row)) if row else 0
+    return row[k:] + row[:k] if k else row
 
 
 def planar_embed(g: PaintedGraph) -> Rotation:
@@ -231,7 +240,7 @@ def planar_embed(g: PaintedGraph) -> Rotation:
     graphs embed identically run to run.  Raises PreconditionError for a
     disconnected graph and NonplanarError for a non-planar one.
     """
-    if _component_count(g) != 1:
+    if g.component_count != 1:
         raise PreconditionError("planar_embed requires a connected graph")
     rot = _left_right_rotation(g)
     if rot is None:
@@ -479,16 +488,25 @@ def _left_right_rotation(g: PaintedGraph) -> Rotation | None:
     return tuple(rows)
 
 
-def check_rotation(g: PaintedGraph, rot: Rotation) -> None:
-    """Raise InvalidRotationError unless rot matches g structurally."""
+def check_rotation(g: PaintedGraph, rot: Rotation) -> list[int]:
+    """The slot table of rot: ``slot[2 * e + i]`` is the dart (numbered as in
+    ``FaceSet``) of edge e at ``edges[e][i]``.  Each entry of v's row fills
+    the empty slot of an edge at v, as many as v's degree, or
+    InvalidRotationError names the first row that does not."""
     if len(rot) != g.vertex_count:
         raise InvalidRotationError("rotation has wrong number of vertices")
-    for v in range(g.vertex_count):
-        if sorted(rot[v]) != sorted(g.incident[v]):
-            raise InvalidRotationError(f"rotation at vertex {v} does not list its incident edges")
+    edges, m = g.edges, g.edge_count
+    slot, d = [-1] * (2 * m), 0
+    for v, (row, inc) in enumerate(zip(rot, g.incident)):
+        for e in row if len(row) == len(inc) else (-1,):  # a row of the wrong length fails at once
+            if 0 <= e < m and v in edges[e] and slot[s := 2 * e + (edges[e][0] != v)] < 0:
+                slot[s], d = d, d + 1
+            else:
+                raise InvalidRotationError(f"rotation at vertex {v} does not list its incident edges")
+    return slot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceSet:
     """The dart table of a rotation system and the faces it traces.
 
@@ -497,21 +515,34 @@ class FaceSet:
     rows in vertex order.  ``rev[d]`` is the other end of d's edge, and
     ``nxt[d]`` / ``prv[d]`` the next / previous dart around d's tail.  The
     face after dart d is ``nxt[rev[d]]``: the successor of d's edge in the
-    rotation at d's head.  Each face is kept as its closed walk of darts
-    (tail, head, edge_index), started at its smallest, the faces in
-    ascending order of their starts; ``face[d]`` is the face holding d.
+    rotation at d's head.  ``face[d]`` is the face holding d; faces ascend
+    in their smallest darts (tail, head, edge_index), face f has ``size[f]``
+    darts from ``first[f]``, and the walks and tables are built when read.
     """
 
-    faces: tuple[tuple[Dart, ...], ...]
-    tail: list[int] = field(compare=False, repr=False)
-    edge: list[int] = field(compare=False, repr=False)
-    rev: list[int] = field(compare=False, repr=False)
-    nxt: list[int] = field(compare=False, repr=False)
-    prv: list[int] = field(compare=False, repr=False)
-    face: list[int] = field(compare=False, repr=False)
+    tail: list[int]
+    edge: list[int]
+    rev: list[int]
+    nxt: list[int]
+    prv: list[int]
+    face: list[int]
+    first: list[int]
+    size: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return len(self.first)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[Dart, ...], ...]:
+        """Each face's closed walk of darts (tail, head, edge_index), from its smallest."""
+        tail, edge, rev, nxt, walks = self.tail, self.edge, self.rev, self.nxt, []
+        for d, k in zip(self.first, self.size):
+            walk = []
+            for _ in range(k):
+                walk.append((tail[d], tail[rev[d]], edge[d]))
+                d = nxt[rev[d]]
+            walks.append(tuple(walk))
+        return tuple(walks)
 
     @cached_property
     def edge_faces(self) -> dict[int, tuple[int, ...]]:
@@ -519,42 +550,40 @@ class FaceSet:
         face, rev = self.face, self.rev
         return {e: tuple(sorted((face[d], face[rev[d]]))) for d, e in enumerate(self.edge)}
 
+    @cached_property
+    def shared(self) -> list[dict[int, int]]:
+        """Face f -> {face beside f: f's dart along an edge between them, the last}."""
+        face, table = self.face, [{} for _ in self.size]
+        for d, (f, h) in enumerate(zip(face, map(face.__getitem__, self.rev))):
+            table[f][h] = d
+        return table
+
     def face_sizes(self) -> tuple[int, ...]:
-        return tuple(len(w) for w in self.faces)
+        return self.size
 
 
 def faces(g: PaintedGraph, rot: Rotation) -> FaceSet:
     """Trace all faces of the embedding given by rot, and its dart table."""
-    check_rotation(g, rot)
-    tail: list[int] = []
-    edge: list[int] = []
-    nxt: list[int] = []
-    prv: list[int] = []
-    for v, row in enumerate(rot):
-        first, k = len(tail), len(row)
-        tail += [v] * k
-        edge += row
-        nxt += [*range(first + 1, first + k), first]
-        prv += [first + k - 1, *range(first, first + k - 1)]
-    at = [0] * (2 * g.edge_count)  # the dart of edge e at edges[e][0], then at edges[e][1]
-    for d, (v, e) in enumerate(zip(tail, edge)):
-        at[2 * e + (v != g.edges[e][0])] = d
-    rev = [at[2 * e + (v == g.edges[e][0])] for v, e in zip(tail, edge)]
-    face = [-1] * len(tail)
-    walks: list[tuple[Dart, ...]] = []
-    # g.incident[v] ascends in edge index and so in head: each face is met
-    # first at its smallest dart (tail, head, edge_index)
-    for v, row in enumerate(g.incident):
-        for e in row:
-            d = at[2 * e + (v != g.edges[e][0])]
-            walk: list[Dart] = []
+    slot = check_rotation(g, rot)
+    count, m = len(slot), g.edge_count
+    edge, tail = [*chain.from_iterable(rot)], [v for v, row in enumerate(rot) for _ in row]
+    nxt, prv, rev, end = [*range(1, count + 1)], [*range(-1, count - 1)], [0] * count, 0
+    for row in rot:  # close each vertex's ring
+        start, end = end, end + len(row)
+        nxt[end - 1], prv[start] = start, end - 1
+    for a, b in zip(slot[::2], slot[1::2]):
+        rev[a], rev[b] = b, a
+    after = [*map(nxt.__getitem__, rev)]  # the next dart of d's face
+    face, first, size = [-1] * count, [], []
+    # darts ascending in (tail, edge) ascend in (tail, head, edge): each face is met at its smallest
+    for d in sorted(range(count), key=[v * m + e for v, row in enumerate(rot) for e in row].__getitem__):
+        if face[d] < 0:
+            f, k = len(first), 0
+            first.append(d)
             while face[d] < 0:
-                face[d] = len(walks)
-                walk.append((tail[d], tail[rev[d]], edge[d]))
-                d = nxt[rev[d]]
-            if walk:
-                walks.append(tuple(walk))
-    return FaceSet(tuple(walks), tail, edge, rev, nxt, prv, face)
+                face[d], d, k = f, after[d], k + 1
+            size.append(k)
+    return FaceSet(tail, edge, rev, nxt, prv, face, first, tuple(size))
 
 
 def check_3_connected(g: PaintedGraph, rot: Rotation) -> FaceSet:
@@ -564,17 +593,27 @@ def check_3_connected(g: PaintedGraph, rot: Rotation) -> FaceSet:
     3-connected exactly when every face is bounded by a cycle and any two
     faces meet in nothing, in one vertex or in one edge; a 2-vertex cut
     shows up as two faces that share both cut vertices but no edge between
-    them.  Raises PreconditionError otherwise.
-
-    Faces sharing k vertices close k(k-1)/2 four-cycles in the vertex-face
+    them.  Raises PreconditionError otherwise.  A cubic graph's vertex
+    connectivity is its edge connectivity, and the minimal edge cuts of a
+    plane graph are its dual's cycles, so it is 3-connected exactly when no
+    edge has one face on both sides (a bridge; that face is no cycle) and
+    no two faces share two edges (a 2-edge cut).  Other graphs' faces
+    sharing k vertices close k(k-1)/2 four-cycles in the vertex-face
     incidence graph, so with no vertex of degree 2 they meet as they should
     exactly when it has E four-cycles, one per edge, counted in decreasing
     degree order in O(E) steps whatever the degrees (Chiba & Nishizeki 1985).
     """
     fs = g._carried_faces if rot is g.rotation else faces(g, rot)
     n = g.vertex_count
-    if _component_count(g) != 1 or n - g.edge_count + len(fs) != 2:
+    if g.component_count != 1 or n - g.edge_count + len(fs) != 2:
         raise PreconditionError("rotation is not a sphere embedding of a connected graph")
+    if {*map(len, g.incident)} == {3}:
+        face = fs.face
+        if any(map(int.__eq__, face, map(face.__getitem__, fs.rev))):
+            raise PreconditionError("graph is not 3-connected: a face is not bounded by a cycle")
+        if any(len(row) != k for row, k in zip(fs.shared, fs.size)):
+            raise PreconditionError("graph is not 3-connected: two faces meet beyond one vertex or edge")
+        return fs
     adj: list[list[int]] = [[] for _ in range(n)]  # vertex v, then face f as node n + f
     for fid, walk in enumerate(fs.faces):
         tails = {tail for tail, _head, _e in walk}
@@ -630,7 +669,7 @@ def dual(g: PaintedGraph, rot: Rotation) -> tuple[PaintedGraph, tuple[int, ...]]
     if len(set(dual_edges)) != len(dual_edges):
         raise PreconditionError("dual has parallel edges (primal 2-edge cut)")
     painted_pairs = [dual_edges[i] for i in g.painted]
-    dg = painted_graph(len(fs.faces), dual_edges, painted_pairs)
+    dg = painted_graph(len(fs), dual_edges, painted_pairs)
     corr = tuple(dg.edge_index[e] for e in dual_edges)
     rot = tuple(_canon_row([corr[e] for _t, _h, e in walk]) for walk in fs.faces)
     return replace(dg, rotation=rot), corr
@@ -671,8 +710,8 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
         raw_painted = [int(i) for i in doc["painted"]]
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:  # int(Infinity)
         raise GraphFormatError(f"malformed field: {exc}") from exc
-    numbers = [doc["vertices"], *doc["painted"], *(x for e in doc["edges"] for x in e)]
-    if any(type(x) is not int for x in numbers) or any(len(e) != 2 for e in doc["edges"]):
+    numbers = [doc["vertices"], *doc["painted"], *chain.from_iterable(doc["edges"])]
+    if {*map(type, numbers)} != {int} or {*map(len, doc["edges"])} - {2}:
         raise GraphFormatError("malformed field: numbers must be JSON integers, and edges pairs of them")
     for i in raw_painted:
         if not (0 <= i < len(raw_edges)):
@@ -680,21 +719,24 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
     painted_pairs = [raw_edges[i] for i in raw_painted]
     g = painted_graph(n, raw_edges, painted_pairs)
     rot: Rotation | None = None
-    if "rotation" in doc and doc["rotation"] is not None:
+    if doc.get("rotation") is not None:
+        rows = doc["rotation"]
         try:
-            rows = [tuple(int(i) for i in row) for row in doc["rotation"]]
+            flat = [*map(int, chain.from_iterable(rows))]
         except (TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"malformed rotation: {exc}") from exc
-        if any(type(i) is not int for row in doc["rotation"] for i in row):
+        if {*map(type, chain.from_iterable(rows))} - {int}:
             raise GraphFormatError("malformed rotation: edge positions must be JSON integers")
         # rotation rows refer to the caller's edge order; remap to canonical
-        remap = {i: g.edge_index[e if e[0] < e[1] else (e[1], e[0])] for i, e in enumerate(raw_edges)}
+        remap = [g.edge_index[(u, v) if u < v else (v, u)] for u, v in raw_edges]
         try:
-            rot = tuple(_canon_row([remap[i] for i in row]) for row in rows)
+            if flat and not (0 <= min(flat) and max(flat) < len(remap)):
+                raise KeyError(next(i for i in flat if not 0 <= i < len(remap)))
+            rot = tuple([_canon_row(map(remap.__getitem__, row)) for row in rows])
             g = replace(g, rotation=rot)
             fs = g._carried_faces  # checks the rotation, once
         except (KeyError, InvalidRotationError) as exc:
             raise GraphFormatError(f"rotation does not match graph: {exc}") from exc
-        if n - g.edge_count + len(fs) != 2 * _component_count(g):
+        if n - g.edge_count + len(fs) != 2 * g.component_count:
             raise GraphFormatError("rotation is not a sphere embedding (V - E + F != 2 per component)")
     return g, rot

@@ -51,6 +51,7 @@ from crushtacean import (
     cube,
     cycle_expand,
     dual,
+    faces,
     find_isomorphism,
     gamma_ochain,
     gamma_pretzel,
@@ -714,6 +715,38 @@ def position_faces(g: PaintedGraph, rot) -> tuple[tuple, dict]:
         for _t, _h, e in walk:
             sides.setdefault(e, []).append(f)
     return tuple(walks), {e: tuple(fs) for e, fs in sides.items()}
+
+
+def four_cycle_check(g: PaintedGraph, rot) -> None:
+    """The 3-connectivity check of any graph by the four-cycle count of its
+    vertex-face incidence graph (Chiba & Nishizeki 1985), with the messages
+    ``check_3_connected`` raises: the rule it keeps for graphs that are not
+    cubic, and the reference for its face-table rule on cubic ones."""
+    walks = faces(g, rot).faces
+    n = g.vertex_count
+    if not nx.is_connected(nx_graph(g)) or n - g.edge_count + len(walks) != 2:
+        raise PreconditionError("rotation is not a sphere embedding of a connected graph")
+    adj: list[list[int]] = [[] for _ in range(n)]  # vertex v, then face f as node n + f
+    for fid, walk in enumerate(walks):
+        tails = {tail for tail, _head, _e in walk}
+        if len(walk) < 3 or len(tails) != len(walk):
+            raise PreconditionError("graph is not 3-connected: a face is not bounded by a cycle")
+        adj.append(sorted(tails))
+        for v in tails:
+            adj[v].append(n + fid)
+    order = sorted(range(len(adj)), key=lambda x: -len(adj[x]))
+    rank = {x: i for i, x in enumerate(order)}
+    cycles = 0
+    for x in order:
+        r, paths = rank[x], Counter()
+        for y in adj[x]:
+            if rank[y] > r:
+                for z in adj[y]:
+                    if rank[z] > r:
+                        cycles += paths[z]
+                        paths[z] += 1
+    if cycles != g.edge_count or any(len(adj[v]) < 3 for v in range(n)):
+        raise PreconditionError("graph is not 3-connected: two faces meet beyond one vertex or edge")
 
 
 def indexed_cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, tuple]:

@@ -15,11 +15,21 @@ from crushtacean import (
     planar_embed,
     relabel,
     serialize_graph,
+    symmetry_report,
     validate_basic,
 )
 from crushtacean import graphs
+from crushtacean.families import cycle_expand, prism
 from crushtacean.graphs import check_rotation
-from helpers import nx_graph, random_crushtacean, random_cubic_planar, random_triangulation, splice
+from crushtacean.render import tutte_layout
+from helpers import (
+    nx_graph,
+    position_faces,
+    random_crushtacean,
+    random_cubic_planar,
+    random_triangulation,
+    splice,
+)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -299,6 +309,65 @@ def test_a_parsed_rotation_is_checked_once(rng, monkeypatch):
         h, rot = parse_graph(text)
         assert h.embedding.rotation == rot
         assert checked == [rot]
+
+
+# k4([(0, 1), (2, 3)]) carries the rotation [[0, 2, 1], [0, 3, 4], [1, 5, 3], [2, 4, 5]]
+MALFORMED_ROTATIONS = [
+    ([[0, 2, 1], [-1, 3, 4], [1, 5, 3], [2, 4, 5]], "rotation does not match graph: -1"),
+    ([[0, 2, 1], [0, 3, 4], [1, 6, 3], [2, 4, 5]], "rotation does not match graph: 6"),
+    ([[0, 2, 1], [0, 0, 4], [1, 5, 3], [2, 4, 5]], "vertex 1"),  # an edge listed twice
+    ([[0, 2, 1], [0, 3, 4], [1, 5], [2, 4, 5]], "vertex 2"),  # a short row
+    ([[0, 2, 1], [0, 3, 4], [1, 5, 3, 5], [2, 4, 5]], "vertex 2"),  # a long row
+    ([[0, 5, 1], [0, 3, 4], [1, 5, 3], [2, 4, 5]], "vertex 0"),  # an edge not at the vertex
+    ([[0, 2, 1], [0, 3, 4], [1, 5, 3]], "rotation does not match graph: rotation has wrong number of vertices"),
+    ([[0, 2, 1], [1.0, 3, 4], [1, 5, 3], [2, 4, 5]], "malformed rotation: edge positions must be JSON integers"),
+    ([[0, 2, 1], ["3", 3, 4], [1, 5, 3], [2, 4, 5]], "malformed rotation: edge positions must be JSON integers"),
+    ([[0, 2, 1], [0, 3, 4], [1, 5, 3], 5], "malformed rotation: 'int' object is not iterable"),
+]
+
+
+def test_malformed_rotations_keep_their_messages():
+    doc = json.loads(serialize_graph(k4([(0, 1), (2, 3)])))
+    for rows, message in MALFORMED_ROTATIONS:
+        if message.startswith("vertex"):
+            message = f"rotation does not match graph: rotation at {message} does not list its incident edges"
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(json.dumps({**doc, "rotation": rows}))
+        assert str(info.value) == message
+
+
+def test_a_report_counts_the_components_once(rng, monkeypatch):
+    """A parsed file's Euler check, its validation, the planarity test and
+    the 3-connectivity check read one component count, with a rotation
+    and without."""
+    g = random_crushtacean(rng, 6)
+    texts = [serialize_graph(g, planar_embed(g)), serialize_graph(g)]
+    counted = []
+    real = graphs._component_count
+    monkeypatch.setattr(graphs, "_component_count", lambda h: counted.append(h) or real(h))
+    for text in texts:
+        counted.clear()
+        h, _rot = parse_graph(text)
+        assert symmetry_report(h).crushtacean_valid
+        assert len(counted) == 1 and counted[0] is h
+
+
+def test_a_report_builds_no_face_walk(monkeypatch):
+    """The report of a parsed member, with a seed that carries no rotation,
+    reads the faces' dart table only; the dual and the layout read walks
+    equal to the reference tracer's."""
+    seed = prism(5)
+    member, rot = cycle_expand(seed)
+    member_text, seed_text = serialize_graph(member, rot), serialize_graph(seed)
+    walks = {}  # id of each face set whose walks are read -> the walks
+    real = graphs.FaceSet.faces.func
+    monkeypatch.setattr(graphs.FaceSet, "faces", property(lambda fs: walks.setdefault(id(fs), real(fs))))
+    h, h_rot = parse_graph(member_text)
+    report = symmetry_report(h, expansion_seed=parse_graph(seed_text)[0])
+    assert report.sym_plus_complement.status == "exact" and walks == {}
+    dual(h, h_rot)
+    tutte_layout(h)
+    assert len(walks) == 2 and all(w == position_faces(h, h_rot)[0] for w in walks.values())
 
 
 def test_dual_carries_a_sphere_rotation(rng):

@@ -62,6 +62,7 @@ from helpers import (
     corner_knot_circles,
     expands_by_isomorphism,
     flip_block,
+    four_cycle_check,
     full_signature,
     hung_blocks,
     indexed_cycle_expand,
@@ -283,6 +284,52 @@ def test_3_connectivity_agrees_with_flow_oracle(rng, kind, size, deletions):
     except PreconditionError:
         ours = False
     assert ours == (nx.node_connectivity(nx_graph(g)) >= 3)
+
+
+# two K4s with one edge subdivided each, the new vertices joined by a bridge
+BRIDGED_K4S = painted_graph(
+    10,
+    [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (3, 4), (4, 9)]
+    + [(5, 6), (5, 7), (6, 7), (6, 8), (7, 8), (5, 9), (8, 9)],
+)
+
+
+@PROPERTY
+@given(
+    rng=RNG,
+    kind=st.sampled_from(["cubic", "spliced", "bridged"]),
+    size=st.integers(0, 10),
+    mirrored=st.booleans(),
+)
+def test_cubic_3_connectivity_matches_the_oracles(rng, kind, size, mirrored):
+    """On a cubic graph the face-table rule raises exactly when networkx
+    finds fewer than three vertices' connectivity, with the four-cycle
+    count's message: a bridge leaves a face that is not a cycle, a 2-edge
+    cut two faces that share two edges.  Each graph is relabelled, with the
+    planarity test's rotation or its mirror, as built and as a parsed file."""
+    if kind == "bridged":
+        g = BRIDGED_K4S
+    else:
+        g = random_cubic_planar(rng, size)
+        if kind == "spliced":
+            other = random_cubic_planar(rng, rng.randrange(0, 6))
+            g = splice(g, other, rng.randrange(g.edge_count), rng.randrange(other.edge_count))
+    g = relabel(g, shuffled(rng, g.vertex_count))
+    rot = mirror(planar_embed(g)) if mirrored else planar_embed(g)
+    try:
+        four_cycle_check(g, rot)
+        want = None
+    except PreconditionError as exc:
+        want = str(exc)
+    assert (want is None) == (nx.node_connectivity(nx_graph(g)) >= 3)
+    h, _rot = parse_graph(shuffled_document(g, rot, rng))
+    for check in (lambda: check_3_connected(g, rot), lambda: h.embedding):
+        try:
+            check()
+            got = None
+        except PreconditionError as exc:
+            got = str(exc)
+        assert got == want
 
 
 def report_text(doc: str, seed_doc: str | None = None, witness: bool = True) -> str:
