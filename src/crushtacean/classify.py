@@ -14,7 +14,6 @@ symmetry group of the encoded link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .automorphism import automorphisms
 from .errors import NonplanarError, PreconditionError
@@ -292,7 +291,7 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
         return ReflectionMultiplicity("borromean", None, 3)
     fs = g.embedding.faces
     face, size = fs.face, fs.face_sizes()
-    painted = [*compress(range(len(fs.edge)), map(g.painted_set.__contains__, fs.edge))]  # the painted darts
+    painted = [d for d, e in enumerate(fs.edge) if e in g.painted_set]  # the painted darts
     count = [0] * len(size)  # painted edges on each face
     for d in painted:
         count[face[d]] += 1

@@ -271,8 +271,8 @@ def expands_to(seed: PaintedGraph, g: PaintedGraph) -> bool:
         img, used, queue = [-1] * len(keys), [False] * len(paint), [base]
         img[base], used[x] = x, True
         for d in queue:
-            x = img[d]
-            for c, y in ((s.rev[d], mate[x]), (s.nxt[d], after[x])):
+            i = img[d]
+            for c, y in ((s.rev[d], mate[i]), (s.nxt[d], after[i])):
                 if img[c] < 0 and not used[y]:
                     img[c], used[y] = y, True
                     queue.append(c)

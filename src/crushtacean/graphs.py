@@ -65,7 +65,7 @@ class PaintedGraph:
             inc[v].append(i)
         return tuple(tuple(row) for row in inc)
 
-    component_count = cached_property(lambda self: _component_count(self))
+    component_count = cached_property(lambda self: _component_count(self))  # counted once per graph
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
