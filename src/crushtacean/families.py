@@ -254,17 +254,18 @@ def expands_to(seed: PaintedGraph, g: PaintedGraph) -> bool:
         return False
     s, t = seed.embedding.faces, g.embedding.faces
     radix = 2 * g.edge_count + 1  # above every degree and doubled seed face size: one int per key
-    deg, side = [*map(len, seed.incident)], [2 * s.size[f] for f in s.face]
-    ends = [deg[s.tail[d]] * radix + deg[s.tail[r]] for d, r in enumerate(s.rev)]
-    keys = [(ends[d] * radix + side[d]) * radix + side[r] for d, r in enumerate(s.rev)]
+    deg, sizes, rev, nxt = [*map(len, seed.incident)], [2 * k for k in s.size], s.rev, s.nxt
+    deg_of, side = [*map(deg.__getitem__, s.tail)], [*map(sizes.__getitem__, s.face)]
+    ends = [deg_of[d] * radix + deg_of[r] for d, r in enumerate(rev)]
+    keys = [(ends[d] * radix + side[d]) * radix + side[r] for d, r in enumerate(rev)]
     count = Counter(keys)
-    count.update([(ends[d] * radix + side[r]) * radix + side[d] for d, r in enumerate(s.rev)])
+    count.update([(ends[d] * radix + side[r]) * radix + side[d] for d, r in enumerate(rev)])
     rarity = [*map(count.__getitem__, keys)]
     base = rarity.index(min(rarity))
     paint = [*compress(range(len(t.edge)), map(g.painted_set.__contains__, t.edge))]  # one per vertex, in order
     size = [*map(t.size.__getitem__, t.face)]  # the size of each dart's face
-    mate = [t.tail[t.rev[p]] for p in paint]
-    cycle = [size[t.prv[p]] for p in paint]  # the unpainted face at each vertex
+    mate = [*map(t.tail.__getitem__, map(t.rev.__getitem__, paint))]
+    cycle = [*map(size.__getitem__, map(t.prv.__getitem__, paint))]  # the unpainted face at each vertex
     pair = [c * radix + cycle[m] for c, m in zip(cycle, mate)]
 
     def walk(x: int, after: list[int]) -> bool:
@@ -272,7 +273,7 @@ def expands_to(seed: PaintedGraph, g: PaintedGraph) -> bool:
         img[base], used[x] = x, True
         for d in queue:
             i = img[d]
-            for c, y in ((s.rev[d], mate[i]), (s.nxt[d], after[i])):
+            for c, y in ((rev[d], mate[i]), (nxt[d], after[i])):
                 if img[c] < 0 and not used[y]:
                     img[c], used[y] = y, True
                     queue.append(c)
@@ -281,7 +282,7 @@ def expands_to(seed: PaintedGraph, g: PaintedGraph) -> bool:
         return True
 
     for sign, step in ((1, t.nxt), (-1, t.prv)):
-        after = [t.tail[t.rev[step[p]]] for p in paint]
+        after = [*map(t.tail.__getitem__, map(t.rev.__getitem__, map(step.__getitem__, paint)))]
         for x, p in enumerate(paint):
             a, b = (p, t.rev[p])[::sign]  # the faces beside p, swapped for a mirror map
             if (pair[x] * radix + size[a]) * radix + size[b] == keys[base] and walk(x, after):
