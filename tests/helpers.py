@@ -134,6 +134,18 @@ def splice(g1: PaintedGraph, g2: PaintedGraph, e1: int = 0, e2: int = 0) -> Pain
     return painted_graph(n1 + g2.vertex_count, edges)
 
 
+def bridge_join(g1: PaintedGraph, g2: PaintedGraph, e1: int = 0, e2: int = 0) -> PaintedGraph:
+    """Subdivide one edge of each graph and join the two new vertices by an
+    edge: cubic inputs give a cubic graph with a bridge (two K4s give the
+    smallest)."""
+    n1, n = g1.vertex_count, g1.vertex_count + g2.vertex_count
+    (u1, v1), (u2, v2) = g1.edges[e1], g2.edges[e2]
+    edges = [e for i, e in enumerate(g1.edges) if i != e1]
+    edges += [(a + n1, b + n1) for i, (a, b) in enumerate(g2.edges) if i != e2]
+    edges += [(u1, n), (v1, n), (u2 + n1, n + 1), (v2 + n1, n + 1), (n, n + 1)]
+    return painted_graph(n + 2, edges)
+
+
 def hung_blocks(block: str) -> PaintedGraph:
     """Minimum degree 3, 2-connected but not 3-connected: four copies of a
     block hung between two cut vertices.  "triangle" joins each triangle

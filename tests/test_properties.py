@@ -56,6 +56,7 @@ from crushtacean.families import (
 from crushtacean.graphs import check_3_connected
 from helpers import (
     base_fixers,
+    bridge_join,
     brute_automorphism_count,
     catalog_identify,
     check_irredundant_generators,
@@ -286,14 +287,6 @@ def test_3_connectivity_agrees_with_flow_oracle(rng, kind, size, deletions):
     assert ours == (nx.node_connectivity(nx_graph(g)) >= 3)
 
 
-# two K4s with one edge subdivided each, the new vertices joined by a bridge
-BRIDGED_K4S = painted_graph(
-    10,
-    [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (3, 4), (4, 9)]
-    + [(5, 6), (5, 7), (6, 7), (6, 8), (7, 8), (5, 9), (8, 9)],
-)
-
-
 @PROPERTY
 @given(
     rng=RNG,
@@ -301,19 +294,19 @@ BRIDGED_K4S = painted_graph(
     size=st.integers(0, 10),
     mirrored=st.booleans(),
 )
+@example(rng=random.Random(0), kind="bridged", size=0, mirrored=False)
 def test_cubic_3_connectivity_matches_the_oracles(rng, kind, size, mirrored):
-    """On a cubic graph the face-table rule raises exactly when networkx
-    finds fewer than three vertices' connectivity, with the four-cycle
-    count's message: a bridge leaves a face that is not a cycle, a 2-edge
-    cut two faces that share two edges.  Each graph is relabelled, with the
-    planarity test's rotation or its mirror, as built and as a parsed file."""
-    if kind == "bridged":
-        g = BRIDGED_K4S
-    else:
-        g = random_cubic_planar(rng, size)
-        if kind == "spliced":
-            other = random_cubic_planar(rng, rng.randrange(0, 6))
-            g = splice(g, other, rng.randrange(g.edge_count), rng.randrange(other.edge_count))
+    """On a cubic graph the face-table rule raises exactly when networkx's
+    node connectivity is below 3, with the four-cycle count's message: a
+    bridge leaves a face that is not a cycle, a 2-edge cut two faces that
+    share two edges.  Each graph is relabelled, with the
+    planarity test's rotation or its mirror, as built and as a parsed file;
+    at size 0 the bridged graph is two K4s."""
+    g = random_cubic_planar(rng, size)
+    if kind != "cubic":
+        other = random_cubic_planar(rng, rng.randrange(0, size + 1))
+        join = splice if kind == "spliced" else bridge_join
+        g = join(g, other, rng.randrange(g.edge_count), rng.randrange(other.edge_count))
     g = relabel(g, shuffled(rng, g.vertex_count))
     rot = mirror(planar_embed(g)) if mirrored else planar_embed(g)
     try:
