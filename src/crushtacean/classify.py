@@ -13,7 +13,7 @@ symmetry group of the encoded link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automorphism import automorphisms
 from .errors import NonplanarError, PreconditionError
@@ -43,8 +43,7 @@ SCREEN_INCONCLUSIVE = "inconclusive"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrushtaceanReport:
+class CrushtaceanReport(NamedTuple):
     valid: bool
     reasons: tuple[str, ...]
 
@@ -100,8 +99,7 @@ def _require_valid(g: PaintedGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KnotCircle:
+class KnotCircle(NamedTuple):
     """A closed alternating walk: arcs[i] -> segments[i] -> arcs[i+1] -> ...
 
     An arc (painted_edge, face_id) runs beside the painted edge on the given
@@ -113,8 +111,7 @@ class KnotCircle:
     segments: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KnotStructure:
+class KnotStructure(NamedTuple):
     circles: tuple[KnotCircle, ...]
     # one entry per painted edge: (painted_edge_index, (circle_id, circle_id))
     crossing_links: tuple[tuple[int, tuple[int, int]], ...]
@@ -170,8 +167,7 @@ def knot_circles(g: PaintedGraph) -> KnotStructure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeCut:
+class EdgeCut(NamedTuple):
     edges: tuple[int, int, int]
     painted_count: int
 
@@ -204,8 +200,7 @@ def three_edge_cuts(g: PaintedGraph) -> tuple[EdgeCut, ...]:
     return tuple([EdgeCut(t, len(g.painted_set.intersection(t))) for t in triples])
 
 
-@dataclass(frozen=True)
-class BPrimeVerdict:
+class BPrimeVerdict(NamedTuple):
     tag: str  # "b_prime" | "b_composite" | "borromean_special"
     witness: tuple[Edge, ...] | None = None
     note: str | None = None
@@ -259,8 +254,7 @@ def signature_screen(seed: PaintedGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReflectionMultiplicity:
+class ReflectionMultiplicity(NamedTuple):
     tag: str  # "unique" | "borromean" | "pretzel" | "o_chain"
     n: int | None
     surface_count: int
@@ -305,8 +299,7 @@ def detect_reflection_multiplicity(g: PaintedGraph) -> ReflectionMultiplicity:
     return ReflectionMultiplicity("unique", None, 1)
 
 
-@dataclass(frozen=True)
-class SymEstimate:
+class SymEstimate(NamedTuple):
     status: str  # "exact" | "lower_bound" | "order_only" | "unknown"
     group: GroupId | None = None
     order: int | None = None
@@ -324,8 +317,7 @@ class SymEstimate:
 UNKNOWN = SymEstimate("unknown")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     crushtacean_valid: bool
     reasons: tuple[str, ...] = ()
     vertices: int = 0

@@ -13,8 +13,8 @@ links with a prescribed orientation-preserving symmetry group.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import compress
+from typing import NamedTuple
 
 from .automorphism import automorphisms
 from .classify import (
@@ -78,7 +78,7 @@ def _with_rotation(g: PaintedGraph, around) -> PaintedGraph:
     """g carrying the rotation that lists v's neighbours in the order ``around[v]``."""
     index = g.edge_index
     rows = (_canon_row([index[(v, w) if v < w else (w, v)] for w in row]) for v, row in enumerate(around))
-    return replace(g, rotation=tuple(rows))
+    return PaintedGraph(g.vertex_count, g.edges, g.painted, tuple(rows))
 
 
 def gamma_ochain(n: int) -> PaintedGraph:
@@ -130,7 +130,8 @@ def wheel(n: int) -> PaintedGraph:
 
 
 def prism(n: int) -> PaintedGraph:
-    return replace(gamma_pretzel(n), painted=()) if n >= 3 else _reject(n)
+    g = gamma_pretzel(n) if n >= 3 else _reject(n)
+    return PaintedGraph(g.vertex_count, g.edges, (), g.rotation)
 
 
 def _reject(n: int) -> PaintedGraph:
@@ -302,8 +303,7 @@ def _require_family(seed: PaintedGraph, count: int) -> None:
     require_expansions(seed, count + has_universal_region(seed))
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """One iterated expansion, with the graph it was expanded from (its
     provenance certificate for the signature screen)."""
 

@@ -13,10 +13,9 @@ automorphism search, cycle expansion and the 3-edge cuts read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -35,7 +34,6 @@ Rotation = tuple[tuple[int, ...], ...]
 Dart = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class PaintedGraph:
     """Immutable graph with a painted edge subset.
 
@@ -44,13 +42,24 @@ class PaintedGraph:
     order; painted indices are ascending and in range; every vertex is
     incident to at least one edge.  ``rotation`` is a sphere rotation the
     graph arrived with (from a file or a construction); it takes no part in
-    equality, hashing or serialization.
+    equality, hashing, repr or serialization.
     """
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
-    painted: tuple[int, ...]
-    rotation: Rotation | None = field(default=None, compare=False, hash=False, repr=False)
+    def __init__(
+        self, vertex_count: int, edges: tuple[Edge, ...], painted: tuple, rotation: Rotation | None = None
+    ):
+        self.vertex_count, self.edges, self.painted, self.rotation = vertex_count, edges, painted, rotation
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.edges, self.painted) == (other.vertex_count, other.edges, other.painted)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges, self.painted))
+
+    def __repr__(self) -> str:
+        return f"PaintedGraph(vertex_count={self.vertex_count}, edges={self.edges}, painted={self.painted})"
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -175,8 +184,7 @@ def relabel(g: PaintedGraph, perm: Sequence[int]) -> PaintedGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructReport:
+class StructReport(NamedTuple):
     vertex_count: int
     edge_count: int
     connected: bool
@@ -506,7 +514,6 @@ def check_rotation(g: PaintedGraph, rot: Rotation) -> list[int]:
     return slot
 
 
-@dataclass(frozen=True, eq=False)
 class FaceSet:
     """The dart table of a rotation system and the faces it traces.
 
@@ -520,14 +527,9 @@ class FaceSet:
     darts from ``first[f]``, and the walks and tables are built when read.
     """
 
-    tail: list[int]
-    edge: list[int]
-    rev: list[int]
-    nxt: list[int]
-    prv: list[int]
-    face: list[int]
-    first: list[int]
-    size: tuple[int, ...]
+    def __init__(self, tail, edge, rev, nxt, prv, face, first, size):
+        self.tail, self.edge, self.rev, self.nxt, self.prv = tail, edge, rev, nxt, prv
+        self.face, self.first, self.size = face, first, size
 
     def __len__(self) -> int:
         return len(self.first)
@@ -672,7 +674,7 @@ def dual(g: PaintedGraph, rot: Rotation) -> tuple[PaintedGraph, tuple[int, ...]]
     dg = painted_graph(len(fs), dual_edges, painted_pairs)
     corr = tuple(dg.edge_index[e] for e in dual_edges)
     rot = tuple(_canon_row([corr[e] for _t, _h, e in walk]) for walk in fs.faces)
-    return replace(dg, rotation=rot), corr
+    return PaintedGraph(dg.vertex_count, dg.edges, dg.painted, rot), corr
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +691,8 @@ def serialize_graph(g: PaintedGraph, rot: Rotation | None = None) -> str:
         "painted": list(g.painted),
     }
     if rot is not None:
-        check_rotation(g, rot)
+        if rot is not getattr(vars(g).get("embedding"), "rotation", None):  # g's embedding checked its own
+            check_rotation(g, rot)
         doc["rotation"] = [list(_canon_row(row)) for row in rot]
     return json.dumps(doc, separators=(",", ":"))
 
@@ -733,7 +736,7 @@ def parse_graph(text: str | bytes) -> tuple[PaintedGraph, Rotation | None]:
             if flat and not (0 <= min(flat) and max(flat) < len(remap)):
                 raise KeyError(next(i for i in flat if not 0 <= i < len(remap)))
             rot = tuple([_canon_row(map(remap.__getitem__, row)) for row in rows])
-            g = replace(g, rotation=rot)
+            g = PaintedGraph(g.vertex_count, g.edges, g.painted, rot)
             fs = g._carried_faces  # checks the rotation, once
         except (KeyError, InvalidRotationError) as exc:
             raise GraphFormatError(f"rotation does not match graph: {exc}") from exc

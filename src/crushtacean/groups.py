@@ -13,8 +13,7 @@ dihedral, those times Z2, Klein, or six polyhedral types) is read off the split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -24,24 +23,34 @@ from .errors import CapExceededError, PreconditionError
 DEFAULT_CAP = 10**6
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Permutation:
-    """A permutation of {0..n-1} stored as its image tuple."""
+    """A permutation of {0..n-1} held as its image tuple, by which it compares, sorts and hashes."""
 
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if set(self.image) != set(range(len(self.image))):
+    def __init__(self, image: tuple[int, ...]):
+        if set(image) != set(range(len(image))):
             raise ValueError("image is not a bijection of 0..n-1")
+        self.image = image
 
     def __call__(self, i: int) -> int:
         return self.image[i]
+
+    def __eq__(self, other: object) -> bool:
+        return self.image == other.image if other.__class__ is self.__class__ else NotImplemented
+
+    def __lt__(self, other: Permutation) -> bool:
+        return self.image < other.image if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.image,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(image={self.image!r})"
 
 
 Image = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class PermGroup:
     """A permutation group as the Schreier tree ``_grow`` keeps of the
     orbit of ``base``: element 0 is the identity, element i is moves[k]
@@ -51,11 +60,8 @@ class PermGroup:
     generators; the sorted elements and their signs are built when first
     asked, and equality compares those."""
 
-    degree: int
-    base: tuple[int, ...]
-    moves: tuple[Image, ...]
-    tree: tuple[tuple[int, int], ...]
-    orbit_signs: tuple[int, ...] | None = None
+    def __init__(self, degree: int, base: tuple, moves: tuple, tree: tuple, orbit_signs: tuple | None = None):
+        self.degree, self.base, self.moves, self.tree, self.orbit_signs = degree, base, moves, tree, orbit_signs
 
     @property
     def order(self) -> int:
@@ -206,8 +212,7 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class GroupId:
+class GroupId(NamedTuple):
     """Canonical tag for an abstract group in the catalog.
 
     Kinds: trivial, cyclic(n), klein, dihedral(n >= 3), cyclic_x_z2(n even

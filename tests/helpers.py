@@ -28,7 +28,6 @@ for ``three_edge_cuts``.
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
@@ -785,7 +784,7 @@ def indexed_cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, tuple]:
             ids = [out.edge_index[norm(x, idx[y])] for y in ends]
             k = ids.index(min(ids))
             rows.append(tuple(ids[k:] + ids[:k]))
-    return replace(out, rotation=tuple(rows)), tuple(rows)
+    return PaintedGraph(out.vertex_count, out.edges, out.painted, tuple(rows)), tuple(rows)
 
 
 def expands_by_isomorphism(seed: PaintedGraph, g: PaintedGraph) -> bool:

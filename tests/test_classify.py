@@ -1,11 +1,11 @@
 import json
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from crushtacean import (
     NonplanarError,
+    PaintedGraph,
     PermGroup,
     PreconditionError,
     classify,
@@ -142,7 +142,7 @@ def test_nerve_check_on_valid_graphs(rng):
 def test_nerve_check_reads_any_sphere_rotation(rng):
     for _ in range(5):
         g = random_crushtacean(rng, rng.randrange(0, 8))
-        assert dual_nerve(replace(g, rotation=mirror(planar_embed(g)))) == (True, True)
+        assert dual_nerve(PaintedGraph(g.vertex_count, g.edges, g.painted, mirror(planar_embed(g)))) == (True, True)
     # painting two edges at a vertex leaves that dual triangle crossing two
     g = painted_graph(4, K4_EDGES, [(0, 1), (0, 2), (1, 3)])
     dg, _corr = dual(g, g.embedding.rotation)
@@ -225,7 +225,7 @@ def test_cuts_against_brute_force(rng):
     for g in graphs:
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
-        mirrored = replace(g, rotation=mirror(planar_embed(g)))  # the cuts read either rotation
+        mirrored = PaintedGraph(g.vertex_count, g.edges, g.painted, mirror(planar_embed(g)))  # the cuts read either rotation
         for h in (g, mirrored, relabel(g, perm)):
             got = sorted(c.edges for c in three_edge_cuts(h))
             assert got == brute_cuts(h)
@@ -279,7 +279,7 @@ def test_every_valid_k4_is_the_borromean_graph(matching):
     k4 = painted_graph(4, K4_EDGES, matching)
     for perm in permutations(range(4)):
         g = relabel(k4, perm)
-        for h in (g, replace(g, rotation=mirror(planar_embed(g)))):
+        for h in (g, PaintedGraph(g.vertex_count, g.edges, g.painted, mirror(planar_embed(g)))):
             assert classify_bprime(h).tag == "borromean_special"
             r = detect_reflection_multiplicity(h)
             assert (r.tag, r.n, r.surface_count) == ("borromean", None, 3)
@@ -435,6 +435,12 @@ def test_report_validates_once(monkeypatch):
     calls.clear()
     assert classify_bprime(cycle_expand(prism(5))[0]).tag == "b_prime"
     assert len(calls) == 1
+    g = cycle_expand(prism(5))[0]  # the verdict lives in the graph's instance dict
+    calls.clear()
+    vars(g)[classify._VERDICT] = classify.CrushtaceanReport(False, ("forged",))
+    with pytest.raises(PreconditionError, match="not a valid crushtacean: forged"):
+        classify._require_valid(g)
+    assert calls == []
 
 
 def test_report_borromean():
@@ -546,7 +552,8 @@ def test_report_checks_the_seed_without_expanding_it(monkeypatch):
     for module, name in ((families, "cycle_expand"), (automorphism, "find_isomorphism"), (graphs, "faces")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    member = replace(cycle_expand(prism(6))[0], rotation=None)
+    expanded = cycle_expand(prism(6))[0]
+    member = PaintedGraph(expanded.vertex_count, expanded.edges, expanded.painted)
     seed = prism(6)
     calls.clear()
     assert symmetry_report(member, expansion_seed=seed).signature_screen == "not_signature"

@@ -1,15 +1,27 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from crushtacean import cycle_expand, painted_graph, parse_graph, planar_embed, serialize_graph
 from crushtacean.cli import main
-from crushtacean.families import antiprism, cube, gamma_borromean, gamma_pretzel, prism, wheel
+from crushtacean.families import (
+    antiprism,
+    cube,
+    dodecahedron,
+    gamma_borromean,
+    gamma_ochain,
+    gamma_pretzel,
+    prism,
+    tetrahedron,
+    wheel,
+)
 from helpers import hung_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -487,3 +499,85 @@ def test_seed_not_3_connected_exits_two(tmp_path, capsys, block):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+
+JUNK = [None, True, "0", 1.5, -1, 10**6, [], {}, [0], [0, 1, 2]]
+
+
+def mutate(rng, doc: dict, kind: int) -> None:
+    """Mutation ``kind`` of a painted-graph/1 document, in place: 0-4 the
+    vertex count and the edges, 5-6 the painting, 7-9 the rotation, 10-11
+    whole fields (kept last, since they may remove what the others read)."""
+    if kind == 10:
+        del doc[rng.choice(sorted(doc))]
+        return
+    if kind == 11:
+        doc[rng.choice(sorted(doc))] = rng.choice(JUNK)
+        return
+    edges, painted, rows = doc["edges"], doc["painted"], doc["rotation"]
+    i, j, v = rng.randrange(len(edges)), rng.randrange(len(edges)), rng.randrange(len(rows))
+    if kind == 0:
+        doc["vertices"] += rng.choice((-2, -1, 1, 2))
+    elif kind == 1:  # trade an end of two edges
+        edges[i][0], edges[j][1] = edges[j][1], edges[i][0]
+    elif kind == 2:
+        del edges[i]
+    elif kind == 3:  # a repeated edge, or one between two ends already in use
+        edges.append(list(edges[i]) if rng.random() < 0.5 else [edges[i][0], edges[j][1]])
+    elif kind == 4:
+        edges[i] = rng.choice(JUNK)
+    elif kind == 5 and painted and rng.random() < 0.5:  # drop a painted edge
+        del painted[rng.randrange(len(painted))]
+    elif kind == 5:  # paint another
+        painted.append(i)
+    elif kind == 6:
+        painted.append(rng.choice([*painted[:1], len(edges), *JUNK]))
+    elif kind == 7:
+        rows[v].reverse()
+    elif kind == 8:
+        rows[v][rng.randrange(len(rows[v]))] = rng.choice([i, *JUNK])
+    else:  # trade two rows, or lose one
+        w = rng.randrange(len(rows))
+        rows[v], rows[w] = rows[w], rows[v]
+        if rng.random() < 0.5:
+            del rows[v]
+
+
+def mutated_documents(seed: int, count: int) -> list[str]:
+    """``count`` seeded documents: chains, solids and expansions, each with
+    its rotation, under none, one or two mutations."""
+    graphs = [gamma_borromean(), tetrahedron(), cube(), dodecahedron(), wheel(5), prism(5), antiprism(4)]
+    graphs += [gamma_pretzel(4), gamma_pretzel(5), gamma_ochain(2), gamma_ochain(4)]
+    graphs += [cycle_expand(g)[0] for g in (tetrahedron(), prism(3), wheel(4))]
+    bases = [serialize_graph(g, g.embedding.rotation) for g in graphs]
+    rng, docs = random.Random(seed), []
+    for _ in range(count):
+        doc = json.loads(rng.choice(bases))
+        for kind in sorted(rng.sample(range(12), rng.choice((0, 1, 1, 2)))):
+            mutate(rng, doc, kind)
+        docs.append(json.dumps(doc))
+    return docs
+
+
+CONTRACT_COMMANDS = (["validate"], ["aut"], ["aut", "--painted"], ["classify"], ["expand"], ["render"])
+
+
+def test_mutated_documents_keep_the_exit_code_contract(capsys, monkeypatch):
+    """Every input ends in an answer (exit 0), a negative verdict (exit 1,
+    from validate and classify only) or one error line (exit 2): never in
+    an exception out of ``main``."""
+    problems, codes = [], Counter()
+    for n, text in enumerate(mutated_documents(8, 200)):
+        for argv in CONTRACT_COMMANDS:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            try:
+                code, _out, err = run(capsys, *argv, "-")
+            except (Exception, SystemExit) as exc:  # anything that escapes is the failure
+                problems.append((n, argv, f"raised {exc!r}"))
+                continue
+            codes[code] += 1
+            ok = code in (0, 2) or (code == 1 and argv[0] in ("validate", "classify"))
+            if not ok or (code == 2 and not (err.startswith("error: ") and err.count("\n") == 1)):
+                problems.append((n, argv, code, err))
+    assert problems == []
+    assert codes[0] and codes[1] and codes[2]  # the corpus reaches every outcome

@@ -7,6 +7,7 @@ from crushtacean import (
     GraphFormatError,
     InvalidRotationError,
     NonplanarError,
+    PaintedGraph,
     PreconditionError,
     dual,
     faces,
@@ -23,6 +24,7 @@ from crushtacean.families import cycle_expand, prism
 from crushtacean.graphs import check_rotation
 from crushtacean.render import tutte_layout
 from helpers import (
+    mirror,
     nx_graph,
     position_faces,
     random_crushtacean,
@@ -253,6 +255,10 @@ def test_rotation_rides_along_without_changing_the_value():
     h, rot = parse_graph(serialize_graph(g, planar_embed(g)))
     assert h.rotation == rot
     assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+    mirrored = PaintedGraph(g.vertex_count, g.edges, g.painted, mirror(rot))
+    assert mirrored == h and hash(mirrored) == hash((g.vertex_count, g.edges, g.painted))
+    assert repr(mirrored) == f"PaintedGraph(vertex_count=4, edges={g.edges!r}, painted=(0, 5))"
+    assert h != k4([(0, 1)]) and h != (g.vertex_count, g.edges, g.painted)  # a graph is no tuple
     assert serialize_graph(h) == serialize_graph(g)
     assert h.embedding is h.embedding  # built once, then cached
     assert h.embedding.rotation == rot
@@ -311,6 +317,29 @@ def test_a_parsed_rotation_is_checked_once(rng, monkeypatch):
         assert checked == [rot]
 
 
+
+def test_serialize_checks_only_a_rotation_the_graph_has_not_checked(monkeypatch):
+    """The rotation of a built embedding was checked as it was built, so
+    serializing with it checks nothing; any other rotation is checked, and
+    one that does not fit the graph still raises."""
+    checked = []
+    real = graphs.check_rotation
+    monkeypatch.setattr(graphs, "check_rotation", lambda g, rot: checked.append(rot) or real(g, rot))
+    g = cycle_expand(prism(5))[0]
+    own = g.embedding.rotation
+    checked.clear()
+    text = serialize_graph(g, own)
+    assert checked == [] and parse_graph(text)[1] == own
+    unbuilt = PaintedGraph(g.vertex_count, g.edges, g.painted, own)  # no embedding yet
+    copy = tuple(row for row in own)  # equal, but not the embedding's own
+    for h, rot in ((g, mirror(own)), (g, copy), (unbuilt, own)):
+        checked.clear()
+        serialize_graph(h, rot)
+        assert checked == [rot]
+    assert serialize_graph(g, copy) == text
+    for rot in ((own[1], own[0]) + own[2:], own[:-1], prism(5).embedding.rotation):
+        with pytest.raises(InvalidRotationError):
+            serialize_graph(g, rot)
 # k4([(0, 1), (2, 3)]) carries the rotation [[0, 2, 1], [0, 3, 4], [1, 5, 3], [2, 4, 5]]
 MALFORMED_ROTATIONS = [
     ([[0, 2, 1], [-1, 3, 4], [1, 5, 3], [2, 4, 5]], "rotation does not match graph: -1"),

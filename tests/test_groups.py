@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from crushtacean import (
     CapExceededError,
     GroupId,
+    PermGroup,
     Permutation,
     PreconditionError,
     automorphisms,
@@ -58,6 +58,17 @@ def test_permutation_algebra():
     assert perm_order(q.image) == 2
     assert perm_order(tuple(range(4))) == 1
     assert perm_inverse(pq) == perm_compose(perm_inverse(q.image), perm_inverse(p.image))
+
+
+def test_permutations_check_compare_and_hash_as_their_images():
+    for image in ((0, 0, 1), (1, 2, 3), (0, 2)):  # a repeat, a point out of range, a gap
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(image)
+    p, q = Permutation((1, 0, 2)), Permutation((0, 2, 1))
+    assert p == Permutation((1, 0, 2)) and hash(p) == hash(((1, 0, 2),))
+    assert p != q and p != (1, 0, 2)  # a permutation is no tuple
+    assert sorted([p, q]) == [q, p] and q < p <= p and p > q >= q
+    assert repr(p) == "Permutation(image=(1, 0, 2))" and p(0) == 1
 
 
 def test_perm_order_matches_repeated_composition():
@@ -153,6 +164,14 @@ def test_group_id_canonical_folds():
     assert GroupId.dihedral_x_z2(4) != GroupId.dihedral(8)  # genuinely distinct
 
 
+def test_group_ids_sort_and_hash_as_kind_then_parameter():
+    ids = [GroupId.dihedral(5), GroupId.cyclic(3), GroupId.exceptional("A5"), GroupId.dihedral(4), GroupId.trivial()]
+    assert [str(gid) for gid in sorted(ids)] == ["A5", "Z3", "D4", "D5", "Z1"]
+    assert sorted(ids) == sorted(ids, key=lambda gid: (gid.kind, gid.n))
+    assert GroupId.dihedral(4) < GroupId.dihedral(5) and hash(GroupId.cyclic(3)) == hash(("cyclic", 3))
+    assert repr(GroupId.klein()) == "GroupId(kind='klein', n=0)"
+
+
 def test_group_id_strings():
     cases = [
         (GroupId.trivial(), "Z1", 1),
@@ -196,7 +215,7 @@ def test_identify_unrecognized():
     assert str(gid) == "U9"
     assert gid.order == 9
     # signs no sphere symmetry group has: Z3xZ3 as "rotations" is no rotation group
-    assert identify(replace(z3z3, orbit_signs=(1,) * 9)) == gid
+    assert identify(PermGroup(z3z3.degree, z3z3.base, z3z3.moves, z3z3.tree, (1,) * 9)) == gid
 
 
 def test_identify_refuses_a_group_without_signs():

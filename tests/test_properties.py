@@ -11,7 +11,6 @@ reproducible.
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import islice
 
 import networkx as nx
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 from crushtacean import (
     GraphFormatError,
     NonplanarError,
+    PaintedGraph,
     Permutation,
     PreconditionError,
     automorphisms,
@@ -231,7 +231,7 @@ def test_identify_matches_the_catalog_oracle(rng, kind, n, expanded, relabelled)
         g = cycle_expand(g)[0]
     if relabelled:
         g = relabel(g, shuffled(rng, g.vertex_count))
-    mirrored = replace(g, rotation=mirror(g.embedding.rotation))
+    mirrored = PaintedGraph(g.vertex_count, g.edges, g.painted, mirror(g.embedding.rotation))
     for painted in (False, True):
         grp = automorphisms(g, painted)
         assert identify(grp) == catalog_identify(grp)
@@ -385,7 +385,7 @@ def test_expansion_check_matches_the_isomorphism_oracle(rng, edges, mirrored):
     other seed's member."""
     seeds = seeds_with_edges(rng, edges)
     if mirrored:
-        seeds = [replace(s, rotation=mirror(planar_embed(s))) for s in seeds]
+        seeds = [PaintedGraph(s.vertex_count, s.edges, s.painted, mirror(planar_embed(s))) for s in seeds]
     forms = []
     for s in seeds:
         m, rot = cycle_expand(s)
@@ -393,8 +393,8 @@ def test_expansion_check_matches_the_isomorphism_oracle(rng, edges, mirrored):
             [
                 relabel(m, shuffled(rng, m.vertex_count)),
                 m,
-                replace(m, rotation=mirror(rot)),
-                replace(m, rotation=None),
+                PaintedGraph(m.vertex_count, m.edges, m.painted, mirror(rot)),
+                PaintedGraph(m.vertex_count, m.edges, m.painted),
             ]
         )
     for i, s in enumerate(seeds):
@@ -477,7 +477,7 @@ def painted_group_variants(rng, g) -> list:
     return [
         g,
         relabel(g, shuffled(rng, g.vertex_count)),
-        replace(g, rotation=mirror(g.embedding.rotation)),
+        PaintedGraph(g.vertex_count, g.edges, g.painted, mirror(g.embedding.rotation)),
     ]
 
 
@@ -536,13 +536,14 @@ def reflection_corpus(rng) -> list:
     truncations 3-7 (antiprisms are 4-regular; ``cycle_expand`` makes each
     vertex a 4-cycle), each carrying its rotation."""
     bare = [prism(n) for n in range(3, 9)] + [cube()]
-    bare += [replace(gamma_ochain(n), painted=()) for n in range(2, 9)]
+    bare += [PaintedGraph(g.vertex_count, g.edges, (), g.rotation) for g in map(gamma_ochain, range(2, 9))]
     bare += [random_cubic_planar(rng, k) for k in range(7) for _ in range(3)]
-    capped = [replace(cycle_expand(antiprism(n))[0], painted=()) for n in range(3, 8)]
+    capped = [cycle_expand(antiprism(n))[0] for n in range(3, 8)]
+    capped = [PaintedGraph(g.vertex_count, g.edges, (), g.rotation) for g in capped]
     corpus = []
     for g, cap in [(g, None) for g in bare] + [(g, 30) for g in capped]:
         rot = g.embedding.rotation
-        corpus += [replace(g, painted=m, rotation=rot) for m in islice(perfect_matchings(g), cap)]
+        corpus += [PaintedGraph(g.vertex_count, g.edges, m, rot) for m in islice(perfect_matchings(g), cap)]
     return corpus
 
 
@@ -556,7 +557,7 @@ def test_chains_are_read_off_the_painting_as_the_templates_match():
     tags = Counter()
     for g in reflection_corpus(rng):
         h = relabel(g, shuffled(rng, g.vertex_count))
-        for x in (g, h, replace(h, rotation=mirror(h.embedding.rotation))):
+        for x in (g, h, PaintedGraph(h.vertex_count, h.edges, h.painted, mirror(h.embedding.rotation))):
             want = template_reflection(x)
             assert detect_reflection_multiplicity(x) == want
             tags[want.tag] += 1
@@ -577,7 +578,7 @@ def test_dart_table_matches_the_position_dict_oracles(rng, kind, n):
     g = random_crushtacean(rng, n) if kind == "crushtacean" else NAMED[kind](n)
     g = relabel(g, shuffled(rng, g.vertex_count))
     for rot in (planar_embed(g), mirror(planar_embed(g))):
-        h = replace(g, rotation=rot)
+        h = PaintedGraph(g.vertex_count, g.edges, g.painted, rot)
         fs = faces(h, rot)
         walks, sides = position_faces(h, rot)
         assert fs.faces == walks and fs.edge_faces == sides
@@ -613,7 +614,7 @@ def test_knot_circles_match_the_corner_tracer(rng, kind, seed, n):
         for _ in range(int(kind[-1])):
             g, _rot = cycle_expand(g)
     h = relabel(g, shuffled(rng, g.vertex_count))
-    for x in (g, h, replace(h, rotation=mirror(h.embedding.rotation))):
+    for x in (g, h, PaintedGraph(h.vertex_count, h.edges, h.painted, mirror(h.embedding.rotation))):
         assert knot_circles(x) == corner_knot_circles(x)
 
 

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "crushtacean"
@@ -57,6 +60,20 @@ def test_numpy_loads_only_inside_tutte_layout():
     assert _import_sites("numpy") == set()
 
 
+
+def test_no_module_imports_dataclasses():
+    """Every CLI request imports the whole package in a fresh process, and
+    ``dataclasses`` (with ``inspect``) plus the code its decorators compile
+    cost more there than the mathematics: records are NamedTuples, and
+    the classes with caches are plain classes."""
+    assert _import_sites("dataclasses") == set()
+
+
+def test_the_cli_import_leaves_out_dataclasses_and_inspect():
+    code = "import sys, crushtacean.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 # the functions a rotation may be handed to; every stage reads g.embedding
 ROTATION_PRIMITIVES = {
     "graphs.py:faces",
@@ -64,6 +81,7 @@ ROTATION_PRIMITIVES = {
     "graphs.py:serialize_graph",
     "graphs.py:check_rotation",
     "graphs.py:check_3_connected",
+    "graphs.py:PaintedGraph.__init__",  # stores the rotation the graph arrived with
     "graphs.py:Embedding.__init__",  # the one place a checked rotation is stored
 }
 
