@@ -317,7 +317,6 @@ def test_a_parsed_rotation_is_checked_once(rng, monkeypatch):
         assert checked == [rot]
 
 
-
 def test_serialize_checks_only_a_rotation_the_graph_has_not_checked(monkeypatch):
     """The rotation of a built embedding was checked as it was built, so
     serializing with it checks nothing; any other rotation is checked, and
@@ -340,6 +339,8 @@ def test_serialize_checks_only_a_rotation_the_graph_has_not_checked(monkeypatch)
     for rot in ((own[1], own[0]) + own[2:], own[:-1], prism(5).embedding.rotation):
         with pytest.raises(InvalidRotationError):
             serialize_graph(g, rot)
+
+
 # k4([(0, 1), (2, 3)]) carries the rotation [[0, 2, 1], [0, 3, 4], [1, 5, 3], [2, 4, 5]]
 MALFORMED_ROTATIONS = [
     ([[0, 2, 1], [-1, 3, 4], [1, 5, 3], [2, 4, 5]], "rotation does not match graph: -1"),

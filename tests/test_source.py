@@ -60,7 +60,6 @@ def test_numpy_loads_only_inside_tutte_layout():
     assert _import_sites("numpy") == set()
 
 
-
 def test_no_module_imports_dataclasses():
     """Every CLI request imports the whole package in a fresh process, and
     ``dataclasses`` (with ``inspect``) plus the code its decorators compile
@@ -74,6 +73,8 @@ def test_the_cli_import_leaves_out_dataclasses_and_inspect():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
 # the functions a rotation may be handed to; every stage reads g.embedding
 ROTATION_PRIMITIVES = {
     "graphs.py:faces",
