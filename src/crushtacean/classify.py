@@ -51,16 +51,6 @@ class CrushtaceanReport(NamedTuple):
 _VERDICT = "_crushtacean_verdict"  # where validate_crushtacean leaves its verdict in vars(g)
 
 
-def _matching_ok(g: PaintedGraph) -> bool:
-    ends: set[int] = set()
-    for u, v in g.painted_pairs():
-        if u in ends or v in ends:
-            return False
-        ends.add(u)
-        ends.add(v)
-    return len(ends) == g.vertex_count
-
-
 def validate_crushtacean(g: PaintedGraph) -> CrushtaceanReport:
     """Full admission check; returns a verdict with machine-stable reasons.
 
@@ -82,7 +72,7 @@ def validate_crushtacean(g: PaintedGraph) -> CrushtaceanReport:
             reasons.append("nonplanar")
         except PreconditionError:
             reasons.append("not_3_connected")
-    if not _matching_ok(g):
+    if g.mate is None:
         reasons.append("painted_not_perfect_matching")
     report = vars(g)[_VERDICT] = CrushtaceanReport(valid=not reasons, reasons=tuple(reasons))
     return report
@@ -380,10 +370,8 @@ def _painted_group(g: PaintedGraph, aut: PermGroup) -> PermGroup:
     """Aut_p(g), given aut = Aut(g): aut itself when each of its generators
     maps the painted edges onto painted edges (a subgroup that holds every
     generator is the whole group), else the painted search's group.  A map
-    keeps the perfect matching ``mate`` of a valid g when it commutes with it."""
-    mate = [0] * g.vertex_count
-    for u, v in g.painted_pairs():
-        mate[u], mate[v] = v, u
+    keeps the perfect matching ``g.mate`` of a valid g when it commutes with it."""
+    mate = g.mate
     if all([*map(mate.__getitem__, m)] == [*map(m.__getitem__, mate)] for m in aut.moves):
         return aut
     return automorphisms(g, respect_painting=True)
@@ -398,11 +386,12 @@ def symmetry_report(
     When g is an iterated-expansion member, passing the graph it was
     expanded from unlocks the not-a-signature-link screen and with it the
     complement determination; without provenance the complement is Unknown
-    outside the exceptional families.  The seed's darts are mapped onto g's
-    vertices (``families.expands_to``), no expansion built; a seed that
-    does not match raises PreconditionError.  The painted group is searched
-    only when a generator of the unpainted group moves the painting;
-    otherwise the two groups are one, expanded once for its signature.
+    outside the exceptional families.  g's painted matching and unpainted
+    cycles are read as the seed's map (``families.expands_to``), no
+    expansion built; a seed that does not match raises PreconditionError.
+    The painted group is searched only when a generator of the unpainted
+    group moves the painting; otherwise the two groups are one, expanded
+    once for its signature.
     """
     check = validate_crushtacean(g)
     if not check.valid:

@@ -12,11 +12,11 @@ links with a prescribed orientation-preserving symmetry group.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import compress
+from itertools import compress, count
+from types import SimpleNamespace
 from typing import NamedTuple
 
-from .automorphism import automorphisms
+from .automorphism import _darts, _extend, automorphisms
 from .classify import (
     SCREEN_NOT_SIGNATURE,
     has_universal_region,
@@ -166,9 +166,6 @@ def dodecahedron() -> PaintedGraph:
     for i, a in enumerate(_DODECAHEDRON_LCF):
         j = (i + a) % 20
         edges.add((min(i, j), max(i, j)))
-    edges = {(min(u, v), max(u, v)) for u, v in edges}
-    if len(edges) != 30:
-        raise RuntimeError(f"dodecahedron has {len(edges)} edges, not 30")
     return painted_graph(20, sorted(edges))
 
 
@@ -217,10 +214,12 @@ def cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, Rotation]:
 
     Dart d of the input (see ``FaceSet``) becomes output vertex d, joined
     by a painted edge to ``rev[d]``, the other end of its edge, and by
-    cycle edges to ``nxt[d]`` and ``prv[d]``, its rotation neighbours.
-    The output rotation rides on the output graph, whose embedding is
-    built and checked to be 3-connected before it is returned.  Input painting, if
-    any, is ignored.  Requires a 3-connected planar input and raises
+    cycle edges to ``nxt[d]`` and ``prv[d]``, its rotation neighbours: the
+    painted matching and unpainted cycles are the input's map again, read
+    by ``expands_to`` for the automorphism search's flag extension.  The
+    output carries its rotation, and its embedding is built and checked to
+    be 3-connected before it is returned.  Input painting, if any, is
+    ignored.  Requires a 3-connected planar input and raises
     PreconditionError otherwise: smaller degrees would create loops or
     parallel edges, and a 2-vertex cut would leave 2-edge cuts.
     """
@@ -229,10 +228,7 @@ def cycle_expand(g: PaintedGraph) -> tuple[PaintedGraph, Rotation]:
     painted = [(d, r) for d, r in enumerate(rev) if d < r]
     out = painted_graph(2 * g.edge_count, painted + list(enumerate(nxt)), painted)
     out = _with_rotation(out, zip(rev, nxt, prv))
-    try:
-        out.embedding
-    except PreconditionError as exc:
-        raise RuntimeError(f"expansion is not a 3-connected embedding: {exc}") from exc
+    out.embedding  # checked 3-connected, and kept
     return out, out.rotation
 
 
@@ -240,53 +236,34 @@ def expands_to(seed: PaintedGraph, g: PaintedGraph) -> bool:
     """Is the valid crushtacean g the seed's cycle expansion, up to a
     painted isomorphism?
 
-    Expansion vertex d is seed dart d.  With x the image of d and ``p[x]``
-    x's painted dart, such a map sends ``rev[d]`` to the head of ``p[x]``
-    and ``nxt[d]`` to the head of the dart after ``p[x]`` (before it, for a
-    mirror map), so one dart's image and a sign fix it (Weinberg 1966): a
-    breadth-first walk builds it one-to-one or meets a conflict.  It starts
-    at the seed dart of rarest invariant (end degrees, doubled sizes of the
-    faces beside it), at each x whose unpainted faces (at x and its partner)
-    and faces beside ``p[x]`` show it.  Sizes are compared before the seed
-    is embedded, which raises unless it is planar and 3-connected.
+    g's painted matching and unpainted cycles are read as the seed's map:
+    vertex x is a dart, ``g.mate[x]`` its reverse, its neighbour after the
+    painted edge in its rotation (before, for a mirror map) its next dart,
+    and the face its unpainted edges bound its tail.  If no such face has a
+    painted edge, the automorphism search's flag extension (``_extend``)
+    matches the seed's map with it from each vertex whose cycle, partner's
+    cycle and faces beside the painted edge (swapped for a mirror map) show
+    the base dart's end degrees and doubled face sizes.  Sizes are compared
+    first; the seed's embedding raises unless it is planar and 3-connected.
     """
-    edges = seed.edge_count
-    if (g.vertex_count, g.edge_count) != (2 * edges, 3 * edges):
+    edges, mate = seed.edge_count, g.mate
+    if mate is None or (g.vertex_count, g.edge_count) != (2 * edges, 3 * edges):
         return False
-    s, t = seed.embedding.faces, g.embedding.faces
-    radix = 2 * g.edge_count + 1  # above every degree and doubled seed face size: one int per key
-    deg, sizes, rev, nxt = [*map(len, seed.incident)], [2 * k for k in s.size], s.rev, s.nxt
-    deg_of, side = [*map(deg.__getitem__, s.tail)], [*map(sizes.__getitem__, s.face)]
-    ends = [deg_of[d] * radix + deg_of[r] for d, r in enumerate(rev)]
-    keys = [(ends[d] * radix + side[d]) * radix + side[r] for d, r in enumerate(rev)]
-    count = Counter(keys)
-    count.update([(ends[d] * radix + side[r]) * radix + side[d] for d, r in enumerate(rev)])
-    rarity = [*map(count.__getitem__, keys)]
-    base = rarity.index(min(rarity))
-    paint = [*compress(range(len(t.edge)), map(g.painted_set.__contains__, t.edge))]  # one per vertex, in order
-    size = [*map(t.size.__getitem__, t.face)]  # the size of each dart's face
-    mate = [*map(t.tail.__getitem__, map(t.rev.__getitem__, paint))]
-    cycle = [*map(size.__getitem__, map(t.prv.__getitem__, paint))]  # the unpainted face at each vertex
-    pair = [c * radix + cycle[m] for c, m in zip(cycle, mate)]
-
-    def walk(x: int, after: list[int]) -> bool:
-        img, used, queue = [-1] * len(keys), [False] * len(paint), [base]
-        img[base], used[x] = x, True
-        for d in queue:
-            i = img[d]
-            for c, y in ((rev[d], mate[i]), (nxt[d], after[i])):
-                if img[c] < 0 and not used[y]:
-                    img[c], used[y] = y, True
-                    queue.append(c)
-                elif img[c] != y:
-                    return False
-        return True
-
+    a, t = _darts(seed, False), g.embedding.faces
+    base, s, size, face = a.base, a.fs, t.size, t.face
+    paint = [*compress(count(), map(g.painted_set.__contains__, t.edge))]  # one per vertex, in order
+    cyc = [*map(face.__getitem__, map(t.prv.__getitem__, paint))]  # the face between x's unpainted edges
+    if sum(map(size.__getitem__, set(cyc))) != len(cyc):  # one of them has a painted edge as well
+        return False
+    cycle, side = [*map(size.__getitem__, cyc)], [*map(size.__getitem__, map(face.__getitem__, paint))]
+    key = [*zip(cycle, map(cycle.__getitem__, mate), side, map(side.__getitem__, mate))]
+    r = s.rev[base]
+    ends, beside = (a.deg[s.tail[base]], a.deg[s.tail[r]]), (2 * s.size[s.face[base]], 2 * s.size[s.face[r]])
     for sign, step in ((1, t.nxt), (-1, t.prv)):
-        after = [*map(t.tail.__getitem__, map(t.rev.__getitem__, map(step.__getitem__, paint)))]
-        for x, p in enumerate(paint):
-            a, b = (p, t.rev[p])[::sign]  # the faces beside p, swapped for a mirror map
-            if (pair[x] * radix + size[a]) * radix + size[b] == keys[base] and walk(x, after):
+        nxt = [*map(t.tail.__getitem__, map(t.rev.__getitem__, map(step.__getitem__, paint)))]
+        b = SimpleNamespace(fs=SimpleNamespace(tail=cyc, rev=mate, nxt=nxt), cls=a.cls, deg=size)
+        for x in compress(count(), map((*ends, *beside[::sign]).__eq__, key)):
+            if _extend(a, b, base, x, 1) is not None:
                 return True
     return False
 

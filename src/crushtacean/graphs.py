@@ -107,6 +107,15 @@ class PaintedGraph:
     def painted_set(self) -> frozenset[int]:
         return frozenset(self.painted)
 
+    @cached_property
+    def mate(self) -> tuple[int, ...] | None:
+        """Each vertex's partner across its painted edge, or None unless the
+        painted edges form a perfect matching."""
+        mate = [-1] * self.vertex_count
+        for u, v in map(self.edges.__getitem__, self.painted):
+            mate[u], mate[v] = v, u
+        return tuple(mate) if 2 * len(self.painted) == self.vertex_count and -1 not in mate else None
+
     def is_painted(self, edge: int) -> bool:
         return edge in self.painted_set
 

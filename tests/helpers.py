@@ -18,6 +18,8 @@ or index dict per edge-end instead of the dart table of ``faces``, and
 corners, the reference for ``knot_circles``.  ``expands_by_isomorphism``
 re-expands a seed and matches the expansion against a graph with the
 painted isomorphism search, the reference for ``families.expands_to``.
+``cubic_polyhedra`` grows every small cubic polyhedron from K4, an
+exhaustive corpus checked against its published counts.
 ``template_reflection`` matches g against chain templates of its face
 sizes with ``find_isomorphism``, the reference for the painting count of
 ``detect_reflection_multiplicity``, and ``enumerated_cuts`` forms every
@@ -106,6 +108,35 @@ def random_cubic_planar(rng, extra: int) -> PaintedGraph:
     t = random_triangulation(rng, extra)
     d, _corr = dual(t, planar_embed(t))
     return d
+
+
+@lru_cache(maxsize=None)
+def cubic_polyhedra(max_vertices: int) -> tuple[PaintedGraph, ...]:
+    """Every cubic polyhedron (3-connected cubic planar graph) on at most
+    ``max_vertices`` vertices, one per isomorphism class, by vertex count.
+
+    Each one but K4 comes from one with two vertices fewer by joining two
+    distinct edges of a face, the dual of splitting a vertex of a
+    triangulation (Barnette 1974).  So each level grows from the last, and
+    a graph is kept when ``find_isomorphism`` matches none of those kept
+    with its sorted face sizes.  OEIS A000109 counts the classes.
+    """
+    level = [painted_graph(4, combinations(range(4), 2))]
+    census = list(level)
+    for n in range(4, max_vertices - 1, 2):
+        buckets: dict[tuple[int, ...], list[PaintedGraph]] = {}
+        for g in level:
+            for walk in g.embedding.faces.faces:
+                for (u1, v1, e1), (u2, v2, e2) in combinations(walk, 2):
+                    edges = [e for i, e in enumerate(g.edges) if i != e1 and i != e2]
+                    edges += [(u1, n), (n, v1), (u2, n + 1), (n + 1, v2), (n, n + 1)]
+                    h = painted_graph(n + 2, edges)
+                    kept = buckets.setdefault(tuple(sorted(h.embedding.faces.size)), [])
+                    if all(find_isomorphism(h, k) is None for k in kept):
+                        kept.append(h)
+        level = [h for kept in buckets.values() for h in kept]
+        census += level
+    return tuple(census)
 
 
 def random_crushtacean(rng, extra: int) -> PaintedGraph:

@@ -61,6 +61,7 @@ from helpers import (
     catalog_identify,
     check_irredundant_generators,
     corner_knot_circles,
+    cubic_polyhedra,
     expands_by_isomorphism,
     flip_block,
     four_cycle_check,
@@ -402,6 +403,40 @@ def test_expansion_check_matches_the_isomorphism_oracle(rng, edges, mirrored):
             for m in members if i == j else [rng.choice(members)]:
                 want = expands_by_isomorphism(s, m)
                 assert expands_to(s, m) == want and (want or i != j)
+
+
+def test_census_counts_the_cubic_polyhedra():
+    """The census finds every cubic polyhedron up to 14 vertices once: a
+    false negative of ``find_isomorphism`` would raise a count and a false
+    positive lower one (OEIS A000109)."""
+    counts = Counter(g.vertex_count for g in cubic_polyhedra(14))
+    assert [counts[n] for n in range(4, 15, 2)] == [1, 1, 2, 5, 14, 50]
+
+
+def test_expansion_check_over_the_census():
+    """Over every ordered pair (s, t) of census graphs with as many
+    vertices, ``expands_to`` finds s's expansion in t's exactly when s is
+    t: t's expansion relabelled, and carrying its rotation mirrored.  With
+    another perfect matching painted, t's expansion is a crushtacean whose
+    unpainted cycles need not bound faces, and the answer is the painted
+    isomorphism search's against s's expansion."""
+    rng = random.Random(2007)
+    by_size: dict[int, list[PaintedGraph]] = {}
+    for g in cubic_polyhedra(14):
+        by_size.setdefault(g.vertex_count, []).append(g)
+    pairs = 0
+    for graphs in by_size.values():
+        expansions = [cycle_expand(t) for t in graphs]
+        for t, (m, rot) in zip(graphs, expansions):
+            mirrored = PaintedGraph(m.vertex_count, m.edges, m.painted, mirror(rot))
+            members = [relabel(m, shuffled(rng, m.vertex_count)), mirrored]
+            other = next(p for p in perfect_matchings(m) if p != m.painted)
+            repainted = PaintedGraph(m.vertex_count, m.edges, other, rot)
+            for s, (x, _) in zip(graphs, expansions):
+                pairs += 1
+                assert [expands_to(s, member) for member in members] == [s is t] * 2
+                assert expands_to(s, repainted) == (find_isomorphism(x, repainted, True) is not None)
+    assert pairs == 2727
 
 
 @PROPERTY
